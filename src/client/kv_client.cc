@@ -837,8 +837,9 @@ Status KvClient::TrySplit(const PartitionEntry& entry) {
       hi = shard->slot_hi();
     }
     const uint32_t mid = lo + (hi - lo) / 2;
-    // Phase 1: allocate and initialize the new block, unmapped.
-    auto new_id = controller()->AllocateUnmapped(job(), prefix(), mid, hi);
+    // Phase 1: allocate and initialize the new block, unmapped and owning
+    // no slots until the pairs move in (see Controller::AllocateUnmapped).
+    auto new_id = controller()->AllocateUnmapped(job(), prefix(), mid, mid);
     if (!new_id.ok()) {
       return new_id.status();
     }
@@ -869,7 +870,7 @@ Status KvClient::TrySplit(const PartitionEntry& entry) {
       for (const auto& [k, v] : pairs) {
         moved_bytes += k.size() + v.size();
       }
-      const Status moved = fresh->MoveInPairs(mid, hi, &pairs);
+      const Status moved = fresh->Absorb(mid, hi, &pairs);
       if (!moved.ok()) {
         // All-or-nothing insert failed, so `pairs` is intact: put the range
         // and its data back on the source so nothing is lost, and release

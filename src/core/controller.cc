@@ -117,12 +117,16 @@ void Controller::ChargeOp() {
 
 Result<Controller::LockedJob> Controller::LockJob(
     const std::string& job) const {
+  auto not_found = [&]() -> Status {
+    JIFFY_RETURN_IF_ERROR(CheckReadLease());
+    return NotFound("job '" + job + "' is not registered");
+  };
   std::shared_ptr<JobSlot> slot;
   {
     std::shared_lock<std::shared_mutex> table(jobs_mu_);
     auto it = jobs_.find(job);
     if (it == jobs_.end()) {
-      return NotFound("job '" + job + "' is not registered");
+      return not_found();
     }
     slot = it->second;
   }
@@ -130,7 +134,7 @@ Result<Controller::LockedJob> Controller::LockJob(
   // a long-running job operation never stalls lookups of other jobs.
   std::unique_lock<std::mutex> lock(slot->mu);
   if (slot->defunct) {
-    return NotFound("job '" + job + "' is not registered");
+    return not_found();
   }
   return LockedJob(std::move(slot), std::move(lock));
 }

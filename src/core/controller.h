@@ -225,7 +225,11 @@ class Controller {
   // new block is allocated and initialized but NOT yet published in the
   // partition map, so clients never route to it before its data arrives;
   // once the overloaded block has moved the affected pairs, CommitSplit
-  // publishes the new ownership in a single version bump.
+  // publishes the new ownership in a single version bump. Block ids are
+  // recycled, so a client whose cached map predates a merge can still reach
+  // the new block under its old id: KV callers therefore pass an empty range
+  // (lo == hi) and extend it only when the pairs move in, so such a client
+  // gets kStaleMetadata rather than a miss for a key not yet copied.
   Result<BlockId> AllocateUnmapped(const std::string& job,
                                    const std::string& prefix, uint64_t lo,
                                    uint64_t hi);
@@ -487,7 +491,10 @@ class Controller {
 
   // Pins and locks `job`: shared table lock to find the slot, then the
   // per-job mutex. Fails with kNotFound when the job is unknown or was
-  // deregistered while we waited for its mutex.
+  // deregistered while we waited for its mutex. A miss on a replica that
+  // has lost the read lease fails with kUnavailable instead: read paths
+  // check the lease lock-free before the lookup, and a demotion in between
+  // resets this replica's metadata, which is no evidence the job is gone.
   Result<LockedJob> LockJob(const std::string& job) const;
 
   // Pins every current job (shared table lock only), in deterministic job-id

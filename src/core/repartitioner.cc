@@ -233,7 +233,9 @@ bool Repartitioner::HandleKvOverload(const Hint& hint, Controller* ctl,
       return false;
     }
   }
-  auto dest_r = ctl->AllocateUnmapped(hint.job, hint.prefix, mid, hi);
+  // The destination owns no slots until the final hold flips [mid, hi) to
+  // it (see Controller::AllocateUnmapped).
+  auto dest_r = ctl->AllocateUnmapped(hint.job, hint.prefix, mid, mid);
   if (!dest_r.ok()) {
     return false;  // No free blocks: decline, do not spin.
   }
@@ -541,9 +543,7 @@ Status Repartitioner::MigrateKvRange(const Hint& hint, Controller* ctl,
         // The residual transfer is the blocking part of the migration —
         // charged inside the hold on purpose.
         data_net_->RoundTrip(delta_bytes + 64, 64);
-        if (!dest_unmapped) {
-          st = dshard->ExtendRange(from_slot, end_slot);
-        }
+        st = dshard->ExtendRange(from_slot, end_slot);
         if (st.ok()) {
           shard->FinishMigration();
         }

@@ -11,7 +11,10 @@
 // Threshold callbacks: when a tenant's windowed p99 exceeds the latency
 // target or its error budget is exhausted, the monitor fires the registered
 // alert callback — rate-limited per tenant by a cooldown so a sustained
-// violation produces one alert per cooldown period, not one per op.
+// violation produces one alert per cooldown period, not one per op. The
+// first crossing alerts immediately; the cooldown counts from the last alert
+// fired, and SetOptions()/Reset() re-arm it so the next crossing fires at
+// once again.
 //
 // Cost model: recording is gated on JIFFY_SLO (default on) AND the obs
 // master flag; disabled, Record() is one relaxed load and a branch. Enabled,
@@ -28,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,7 +78,9 @@ class SloMonitor {
   struct Options {
     SloTarget target;
     size_t window_capacity = 8192;             // Samples per tenant.
-    DurationNs alert_cooldown = 1 * kSecond;   // Real time between alerts.
+    // Minimum real time between a tenant's alerts, counted from the last
+    // alert fired. The first crossing alerts immediately.
+    DurationNs alert_cooldown = 1 * kSecond;
     size_t check_every = 64;  // Evaluate thresholds every N records.
   };
 
@@ -98,9 +104,9 @@ class SloMonitor {
   void SetAlertCallback(AlertFn fn);
 
   // Replaces the targets/window parameters. Drops all samples (the window
-  // capacity may change); cached TenantState handles stay valid. Not
-  // synchronized against concurrent Record() — call during setup, before
-  // traffic.
+  // capacity may change) and re-arms every tenant's alert; cached
+  // TenantState handles stay valid. Not synchronized against concurrent
+  // Record() — call during setup, before traffic.
   void SetOptions(const Options& options);
 
   // Health of one tenant / all tenants (sorted by tenant id).
@@ -118,7 +124,8 @@ class SloMonitor {
 
   const Options& options() const { return options_; }
 
-  // Drops all samples and alert state (tenant registrations survive).
+  // Drops all samples and alert state (tenant registrations survive); the
+  // next crossing alerts immediately.
   void Reset();
 
  private:
@@ -154,7 +161,9 @@ class SloMonitor::TenantState {
   std::vector<uint8_t> ok_;
   uint64_t seq_ = 0;        // Total samples ever recorded.
   uint64_t total_errors_ = 0;
-  TimeNs last_alert_ns_ = 0;
+  // Empty = never alerted (or re-armed); not a timestamp sentinel, since
+  // the steady clock's epoch is arbitrary.
+  std::optional<TimeNs> last_alert_ns_;
 };
 
 }  // namespace obs

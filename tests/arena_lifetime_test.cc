@@ -170,7 +170,8 @@ TEST(ArenaLifetimeConcurrencyTest, PinnedReadsSurviveSplitMergeChurn) {
           std::this_thread::yield();
         }
         for (size_t i = 0; i < pinned.values.size(); ++i) {
-          ASSERT_TRUE(pinned.values[i].ok()) << stable_keys[i];
+          ASSERT_TRUE(pinned.values[i].ok())
+              << stable_keys[i] << ": " << pinned.values[i].status();
           ASSERT_EQ(*pinned.values[i], "constant-value") << stable_keys[i];
           EXPECT_FALSE(SlabArena::IsPoisoned(pinned.values[i]->data()));
         }

@@ -366,6 +366,40 @@ TEST(ObsSlo, ErrorBudgetExhaustionFiresRateLimitedAlerts) {
   EXPECT_FALSE(slo.Health("beta").budget_exhausted);
 }
 
+TEST(ObsSlo, ResetAndSetOptionsRearmTheFirstAlert) {
+  ObsStateGuard obs_guard;
+  obs::SetEnabled(true);
+  SloFlagGuard slo_guard;
+  obs::SloMonitor::Options opts;
+  opts.target.availability = 0.99;
+  opts.window_capacity = 128;
+  opts.check_every = 1;
+  // Longer than any host uptime: an epoch-relative sentinel would suppress
+  // every alert here.
+  opts.alert_cooldown = 100LL * 365 * 24 * 3600 * kSecond;
+  obs::SloMonitor slo(opts);
+  obs::SloMonitor::TenantState* h = slo.Handle("acme");
+  auto exhaust = [&] {
+    for (int i = 0; i < 50; ++i) {
+      h->Record(1 * kMillisecond, /*ok=*/false);
+    }
+  };
+  exhaust();
+  EXPECT_EQ(slo.alerts_fired(), 1u);
+  // Reset() drops alert state: the next crossing fires at once.
+  slo.Reset();
+  EXPECT_EQ(slo.alerts_fired(), 0u);
+  exhaust();
+  EXPECT_EQ(slo.alerts_fired(), 1u);
+  // So does SetOptions() (which keeps the lifetime alert count).
+  slo.SetOptions(opts);
+  exhaust();
+  EXPECT_EQ(slo.alerts_fired(), 2u);
+  // Without a re-arm the cooldown still holds.
+  exhaust();
+  EXPECT_EQ(slo.alerts_fired(), 2u);
+}
+
 TEST(ObsSlo, SetOptionsDropsSamplesButKeepsHandles) {
   ObsStateGuard obs_guard;
   obs::SetEnabled(true);

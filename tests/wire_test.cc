@@ -773,6 +773,14 @@ TEST(WireAffinityChurnTest, SplitsUnderWireWritersKeepExactlyOnce) {
       wire_reads.fetch_add(1);
     }
   });
+  // Start deleting only once the reader is live, so its reads overlap the
+  // merges instead of racing the thread's start-up. Bounded: a reader that
+  // fails before its first read reports through its own assertion.
+  const TimeNs reader_live_by = RealClock::Instance()->Now() + 30 * kSecond;
+  while (wire_reads.load() == 0 &&
+         RealClock::Instance()->Now() < reader_live_by) {
+    std::this_thread::yield();
+  }
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kKeysPerWriter; ++i) {
       if (i % 10 == 0) {
