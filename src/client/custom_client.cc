@@ -23,8 +23,7 @@ Result<std::string> CustomDsClient::RunOp(
   for (const auto& a : args) {
     payload += a.size();
   }
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
+  for (StaleRetry retry = StaleLoop(); retry.Next();) {
     PartitionMap map = CachedMap();
     if (map.entries.empty()) {
       JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
@@ -82,20 +81,21 @@ Result<std::string> CustomDsClient::RunOp(
     if (r.ok() && kind != OpKind::kRead) {
       // Mutations propagate down the replica chain and hit the
       // write-through path, exactly like the built-in structures.
-      PropagateToReplicas<CustomContent>(entry, payload, [&](CustomContent* c) {
-        if (kind == OpKind::kWrite) {
-          c->WriteOp(op, args);
-        } else {
-          c->DeleteOp(op, args);
-        }
-      });
+      PropagateToReplicas<CustomContent>(
+          entry, 1, payload, [&](CustomContent* c) {
+            if (kind == OpKind::kWrite) {
+              c->WriteOp(op, args);
+            } else {
+              c->DeleteOp(op, args);
+            }
+          });
       MaybePersist(entry);
       Publish(op, args.empty() ? "" : args.front());
     }
     scope.Finish(r.status());
     return r;
   }
-  return Unavailable("custom op '" + op + "' livelock (too many retries)");
+  return StaleRetry::Exhausted("custom op");
 }
 
 Result<std::string> CustomDsClient::WriteOp(

@@ -11,12 +11,10 @@
 #ifndef SRC_CLIENT_DS_CLIENT_H_
 #define SRC_CLIENT_DS_CLIENT_H_
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "src/cluster/cluster.h"
 #include "src/client/retry.h"
@@ -152,38 +150,14 @@ class DsClient {
 
   // --- Chain replication (§4.2.2) -------------------------------------------
 
-  // Applies `mutate` to each live replica of `entry` in chain order (the
-  // caller already mutated the primary), charging one chain hop per
-  // replica. Replicas whose content vanished are skipped — RepairEntry /
+  // Applies `mutate` — a group of `n_ops` mutations totalling `bytes`, which
+  // the caller already applied to the primary under one lock hold — to each
+  // live replica of `entry` in chain order, as one coalesced chain hop per
+  // replica. Replicas whose content vanished are skipped; RepairEntry /
   // ReReplicate rebuild them.
   template <typename ContentT, typename Fn>
-  void PropagateToReplicas(const PartitionEntry& entry, size_t bytes,
-                           Fn&& mutate) {
-    for (const BlockId& rid : entry.replicas) {
-      Block* rb = Resolve(rid);
-      if (rb == nullptr) {
-        continue;
-      }
-      {
-        Block::OpLock lock(*rb, "chain.block_wait");
-        JIFFY_TRACE_SPAN("block.chain_apply", "block");
-        auto* content = ContentAs<ContentT>(rb->content());
-        if (content != nullptr) {
-          mutate(content);
-        }
-      }
-      // A chain hop whose retries all fail is tolerated: the replica is
-      // repaired wholesale by RepairEntry / re-replication.
-      DataExchange(rid, bytes + 64, 64);
-    }
-  }
-
-  // Batched chain propagation: the caller applied a group of `n_ops`
-  // mutations totalling `bytes` to the primary under one lock hold; each
-  // replica receives the whole group as one coalesced chain hop.
-  template <typename ContentT, typename Fn>
-  void PropagateBatchToReplicas(const PartitionEntry& entry, size_t n_ops,
-                                size_t bytes, Fn&& mutate) {
+  void PropagateToReplicas(const PartitionEntry& entry, size_t n_ops,
+                           size_t bytes, Fn&& mutate) {
     if (n_ops == 0) {
       return;
     }
@@ -200,6 +174,8 @@ class DsClient {
           mutate(content);
         }
       }
+      // A chain hop whose retries all fail is tolerated: the replica is
+      // repaired wholesale by RepairEntry / re-replication.
       DataExchangeBatch(rid, n_ops, bytes + 64, 64);
     }
   }
@@ -223,25 +199,11 @@ class DsClient {
   mutable std::mutex map_mu_;
   PartitionMap map_;
 
-  // Bounded retries for stale-metadata loops; exceeding this indicates a
-  // livelock bug rather than routine scaling.
-  static constexpr int kMaxStaleRetries = 64;
-
-  // Progressive backoff between stale retries. Retries typically wait for
-  // another client's in-flight scaling op; on a busy machine that client
-  // may not be scheduled for a while, so spin first, then sleep briefly.
-  static void BackoffRetry(int attempt) {
-    if (attempt == 0) {
-      return;
-    }
-    if (attempt < 4) {
-      std::this_thread::yield();
-      return;
-    }
-    RealClock::Instance()->SleepFor(
-        std::min<DurationNs>(200 * kMicrosecond,
-                             static_cast<DurationNs>(attempt) * 10 * kMicrosecond));
-  }
+  // The one stale-metadata loop every op of this client runs (route, find
+  // the map stale, refresh, re-send), bounded by the retry policy's
+  // `op_deadline` on the real clock it backs off on:
+  //   for (StaleRetry retry = StaleLoop(); retry.Next();) { ... }
+  StaleRetry StaleLoop() const { return StaleRetry(retry_policy_.op_deadline); }
 
  private:
   friend class OpScope;

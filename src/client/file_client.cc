@@ -56,129 +56,18 @@ Status FileClient::GrowTail(BlockId tail_block, uint64_t tail_lo,
 }
 
 Result<uint64_t> FileClient::Append(std::string_view data) {
-  obs::TraceSpan span("file.append", "client");
-  span.SetAttr(tenant_attr());
-  OpScope op(this);
-  std::string_view remaining = data;
-  uint64_t start_offset = 0;
-  bool start_set = false;
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
-    PartitionMap map = CachedMap();
-    if (map.entries.empty()) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    const PartitionEntry tail = map.entries.back();
-    Block* block = Resolve(tail.block);
-    if (block == nullptr) {
-      JIFFY_RETURN_IF_ERROR(FailOver(tail));
-      continue;
-    }
-    size_t accepted = 0;
-    uint64_t end_offset = 0;
-    bool grow = false;
-    bool flag_bg = false;
-    bool content_gone = false;
-    bool tail_capped = false;
-    {
-      Block::OpLock lock(*block, "file.block_wait");
-      JIFFY_TRACE_SPAN("block.file_append", "block");
-      auto* chunk = ContentAs<FileChunk>(block->content());
-      if (chunk == nullptr) {
-        // Content was reclaimed (lease expiry) or remapped under us. The
-        // refresh happens outside the block lock (lock order is always
-        // controller mutex → block mutex; never the reverse).
-        content_gone = true;
-      } else {
-        block->CountOp();
-        accepted = chunk->Append(remaining);
-        end_offset = chunk->end_offset();
-        tail_capped = chunk->capped();
-        const double usage = static_cast<double>(chunk->used_bytes()) /
-                             static_cast<double>(chunk->capacity());
-        if (accepted > 0 && !start_set) {
-          start_offset = end_offset - accepted;
-          start_set = true;
-        }
-        if (!chunk->capped()) {
-          if (accepted < remaining.size()) {
-            // The write outgrew the chunk: seal so stale writers bounce,
-            // then grow inline — the remainder cannot land anywhere else.
-            chunk->Cap();
-            grow = true;
-          } else if (usage >= config().repartition_high_threshold) {
-            // Early allocation at the high threshold (Fig 14(c)). With a
-            // background worker the chunk stays open (writes keep landing)
-            // and the worker caps + grows off the critical path.
-            if (repartitioner() != nullptr && tail.replicas.empty()) {
-              flag_bg = true;
-            } else {
-              chunk->Cap();
-              grow = true;
-            }
-          }
-        }
-      }
-    }
-    if (content_gone) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (accepted > 0) {
-      // Bytes are already in the chunk; a wire failure past every retry
-      // reports the lost ack (at-least-once).
-      JIFFY_RETURN_IF_ERROR(
-          DataExchange(tail.block, FrameBytes(accepted), FrameBytes(0)));
-      const std::string_view written = remaining.substr(0, accepted);
-      PropagateToReplicas<FileChunk>(tail, accepted, [&](FileChunk* c) {
-        c->Append(written);
-        if (grow) {
-          c->Cap();
-        }
-      });
-      MaybePersist(tail);
-      if (Subscribed()) {
-        Publish(kWriteOp, std::to_string(accepted));
-      }
-      remaining.remove_prefix(accepted);
-    } else if (grow) {
-      // Threshold crossed with nothing accepted: still seal the replicas.
-      PropagateToReplicas<FileChunk>(tail, 0, [&](FileChunk* c) { c->Cap(); });
-    }
-    if (grow) {
-      JIFFY_RETURN_IF_ERROR(GrowTail(tail.block, tail.lo, end_offset));
-    } else if (flag_bg) {
-      Repartitioner::Hint hint;
-      hint.job = job();
-      hint.prefix = prefix();
-      hint.block = tail.block;
-      hint.type = DsType::kFile;
-      hint.pressure = Repartitioner::Pressure::kOverload;
-      repartitioner()->Flag(block, std::move(hint));
-    }
-    if (remaining.empty()) {
-      op.Success();
-      return start_offset;
-    }
-    if (accepted == 0 && !grow) {
-      if (tail_capped) {
-        // A capped tail with no successor means the capper's grow was
-        // dropped (it lost the scaling CAS, possibly to the background
-        // worker declining a stale hint). Growth is idempotent now — retry
-        // it here instead of waiting on a grow that may never come.
-        JIFFY_RETURN_IF_ERROR(GrowTail(tail.block, tail.lo, end_offset));
-      }
-      // Pick up whichever map the winning grower published.
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-    }
-  }
-  return Unavailable("file append livelock (too many stale retries)");
+  return AppendPieces({data}, "file.append", "block.file_append");
 }
 
 Result<uint64_t> FileClient::AppendVec(
     const std::vector<std::string_view>& pieces) {
-  obs::TraceSpan span("file.append_vec", "client");
+  return AppendPieces(pieces, "file.append_vec", "block.file_append_vec");
+}
+
+Result<uint64_t> FileClient::AppendPieces(
+    const std::vector<std::string_view>& pieces, const char* client_span,
+    const char* block_span) {
+  obs::TraceSpan span(client_span, "client");
   span.SetAttr(tenant_attr());
   OpScope op(this);
   size_t total = 0;
@@ -195,8 +84,7 @@ Result<uint64_t> FileClient::AppendVec(
   size_t piece_off = 0;
   uint64_t start_offset = 0;
   bool start_set = false;
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
+  for (StaleRetry retry = StaleLoop(); retry.Next();) {
     PartitionMap map = CachedMap();
     if (map.entries.empty()) {
       JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
@@ -228,7 +116,7 @@ Result<uint64_t> FileClient::AppendVec(
     bool tail_capped = false;
     {
       Block::OpLock lock(*block, "file.block_wait");
-      JIFFY_TRACE_SPAN("block.file_append_vec", "block");
+      JIFFY_TRACE_SPAN(block_span, "block");
       auto* chunk = ContentAs<FileChunk>(block->content());
       if (chunk == nullptr) {
         content_gone = true;
@@ -277,7 +165,7 @@ Result<uint64_t> FileClient::AppendVec(
       JIFFY_RETURN_IF_ERROR(DataExchangeBatch(tail.block, written.size(),
                                               FrameBytes(accepted),
                                               FrameBytes(0)));
-      PropagateBatchToReplicas<FileChunk>(
+      PropagateToReplicas<FileChunk>(
           tail, written.size(), accepted, [&](FileChunk* c) {
             for (std::string_view w : written) {
               c->Append(w);
@@ -302,8 +190,10 @@ Result<uint64_t> FileClient::AppendVec(
           piece_off = 0;
         }
       }
+      retry.Progress();
     } else if (grow) {
-      PropagateToReplicas<FileChunk>(tail, 0, [&](FileChunk* c) { c->Cap(); });
+      PropagateToReplicas<FileChunk>(tail, 1, 0,
+                                     [](FileChunk* c) { c->Cap(); });
     }
     if (grow) {
       JIFFY_RETURN_IF_ERROR(GrowTail(tail.block, tail.lo, end_offset));
@@ -328,86 +218,33 @@ Result<uint64_t> FileClient::AppendVec(
     }
     if (accepted == 0 && !grow) {
       if (tail_capped) {
-        // Same as Append: the capper's grow may have been dropped; growth
-        // is idempotent, so retry it rather than spinning on refreshes.
+        // A capped tail with no successor means the capper's grow was
+        // dropped (it lost the scaling CAS, possibly to the background
+        // worker declining a stale hint). Growth is idempotent now — retry
+        // it here instead of waiting on a grow that may never come.
         JIFFY_RETURN_IF_ERROR(GrowTail(tail.block, tail.lo, end_offset));
       }
+      // Pick up whichever map the winning grower published.
       JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
     }
   }
-  return Unavailable("file append-vec livelock (too many stale retries)");
+  return StaleRetry::Exhausted("file append");
 }
 
 Result<std::string> FileClient::Read(uint64_t offset, size_t len) {
-  obs::TraceSpan span("file.read", "client");
-  span.SetAttr(tenant_attr());
-  OpScope op(this);
-  std::string out;
-  bool refreshed = false;
-  int wire_failures = 0;
-  while (out.size() < len) {
-    const uint64_t cur = offset + out.size();
-    PartitionMap map = CachedMap();
-    const PartitionEntry* entry = nullptr;
-    for (const auto& e : map.entries) {
-      if (cur >= e.lo && cur < e.hi) {
-        entry = &e;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      if (!refreshed) {
-        JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-        refreshed = true;
-        continue;
-      }
-      break;  // Past EOF.
-    }
-    Block* block = Resolve(ReadTarget(*entry));
-    if (block == nullptr) {
-      JIFFY_RETURN_IF_ERROR(FailOver(*entry));
-      continue;
-    }
-    // The chunk hands back a view; the pin (taken under the mutex) keeps the
-    // bytes alive across the wire exchange, so the single copy into `out`
-    // happens only for acknowledged pieces.
-    std::string_view piece;
-    ArenaPin pin;
-    {
-      Block::OpLock lock(*block, "file.block_wait");
-      JIFFY_TRACE_SPAN("block.file_read", "block");
-      auto* chunk = ContentAs<FileChunk>(block->content());
-      if (chunk == nullptr) {
-        return LeaseExpired("file block reclaimed; load the prefix first");
-      }
-      block->CountOp();
-      JIFFY_ASSIGN_OR_RETURN(piece, chunk->ReadAt(cur, len - out.size()));
-      pin = ArenaPin(chunk->arena());
-    }
-    const Status wire = DataExchange(ReadTarget(*entry), FrameBytes(0),
-                                     FrameBytes(piece.size()));
-    if (!wire.ok()) {
-      // Reply lost beyond the wire retries: re-read (idempotent), bounded
-      // so a persistent failure cannot spin forever.
-      if (++wire_failures > kMaxStaleRetries) {
-        return wire;
-      }
-      continue;
-    }
-    if (piece.empty()) {
-      break;  // EOF inside this chunk.
-    }
-    CopyMeter::Add(piece.size());
-    out.append(piece.data(), piece.size());
-    refreshed = false;
-  }
-  op.Success();  // Short reads at EOF are correct answers.
-  return out;
+  return std::move(
+      ReadRanges({{offset, len}}, "file.read", "block.file_read")[0]);
 }
 
 std::vector<Result<std::string>> FileClient::ReadVec(
     const std::vector<std::pair<uint64_t, size_t>>& ranges) {
-  obs::TraceSpan span("file.read_vec", "client");
+  return ReadRanges(ranges, "file.read_vec", "block.file_read_vec");
+}
+
+std::vector<Result<std::string>> FileClient::ReadRanges(
+    const std::vector<std::pair<uint64_t, size_t>>& ranges,
+    const char* client_span, const char* block_span) {
+  obs::TraceSpan span(client_span, "client");
   span.SetAttr(tenant_attr());
   OpScope op(this);
   std::vector<Result<std::string>> results(ranges.size(), std::string());
@@ -419,7 +256,16 @@ std::vector<Result<std::string>> FileClient::ReadVec(
     }
   }
   bool refreshed = false;
-  for (;;) {
+  Status lost;  // The last reply lost beyond the wire retries.
+  for (StaleRetry retry = StaleLoop();;) {
+    if (!retry.Next()) {
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        if (!done[i]) {
+          results[i] = lost.ok() ? StaleRetry::Exhausted("file read") : lost;
+        }
+      }
+      break;
+    }
     const PartitionMap map = CachedMap();
     auto entry_for = [&map](uint64_t off) -> size_t {
       for (size_t e = 0; e < map.entries.size(); ++e) {
@@ -490,7 +336,7 @@ std::vector<Result<std::string>> FileClient::ReadVec(
       bool content_gone = false;
       {
         Block::OpLock lock(*block, "file.block_wait");
-        JIFFY_TRACE_SPAN("block.file_read_vec", "block");
+        JIFFY_TRACE_SPAN(block_span, "block");
         auto* chunk = ContentAs<FileChunk>(block->content());
         if (chunk == nullptr) {
           content_gone = true;
@@ -520,11 +366,9 @@ std::vector<Result<std::string>> FileClient::ReadVec(
           DataExchangeBatch(ReadTarget(entry), subs.size(), req_bytes,
                             BatchFrameBytes(subs.size(), resp_payload));
       if (!wire.ok()) {
-        for (const Sub& s : g) {
-          results[s.i] = wire;
-          done[s.i] = true;
-        }
-        progress = true;
+        // Reads are idempotent: a reply lost beyond the wire retries re-runs
+        // these sub-reads next round.
+        lost = wire;
         continue;
       }
       for (size_t k = 0; k < g.size(); ++k) {
@@ -571,8 +415,8 @@ std::vector<Result<std::string>> FileClient::ReadVec(
         refreshed = false;
       }
     }
-    if (!progress) {
-      break;  // Stall guard: return what we have.
+    if (progress) {
+      retry.Progress();
     }
   }
   for (size_t i = 0; i < ranges.size(); ++i) {

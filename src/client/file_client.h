@@ -28,10 +28,11 @@ class FileClient : public DsClient {
                  std::move(initial_map), "file") {}
 
   // Appends `data`, growing the file across blocks as needed. Returns the
-  // logical offset at which the data begins.
+  // logical offset at which the data begins. Runs as AppendVec of one piece.
   Result<uint64_t> Append(std::string_view data);
 
   // Reads up to `len` bytes starting at `offset`; short reads indicate EOF.
+  // Runs as ReadVec of one range.
   Result<std::string> Read(uint64_t offset, size_t len);
 
   // --- Batched operations (DESIGN.md §7) ------------------------------------
@@ -57,6 +58,15 @@ class FileClient : public DsClient {
   static constexpr char kWriteOp[] = "write";
 
  private:
+  // The shared bodies of the public ops (a single op is a batch of one);
+  // the span names keep single ops distinguishable from batches in traces.
+  Result<uint64_t> AppendPieces(const std::vector<std::string_view>& pieces,
+                                const char* client_span,
+                                const char* block_span);
+  std::vector<Result<std::string>> ReadRanges(
+      const std::vector<std::pair<uint64_t, size_t>>& ranges,
+      const char* client_span, const char* block_span);
+
   // Caps the tail chunk and allocates the next block (scale-up, Fig 8).
   // `end_offset` is the tail's current logical end.
   Status GrowTail(BlockId tail_block, uint64_t tail_lo, uint64_t end_offset);

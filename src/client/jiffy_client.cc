@@ -58,8 +58,17 @@ Status JiffyClient::RegisterJob(const std::string& job) {
 
 Status JiffyClient::DeregisterJob(const std::string& job) {
   cluster_->control_transport()->RoundTrip(64, 64);
-  return WithMetaRetry(
-      job, [&](Controller* ctl) { return ctl->DeregisterJob(job); });
+  int attempts = 0;
+  const Status st = WithMetaRetry(job, [&](Controller* ctl) {
+    ++attempts;
+    return ctl->DeregisterJob(job);
+  });
+  // Committed: OK, or kNotFound on a retry (an earlier attempt removed the
+  // job before its reply was lost). Free the job's per-structure state.
+  if (st.ok() || (st.code() == StatusCode::kNotFound && attempts > 1)) {
+    cluster_->registry()->RemoveJob(job);
+  }
+  return st;
 }
 
 Status JiffyClient::CreateAddrPrefix(const std::string& addr,

@@ -15,285 +15,402 @@ namespace {
 
 constexpr size_t kNoEntry = static_cast<size_t>(-1);
 
-// Index of the map entry owning `slot`; kNoEntry when the map is stale.
-size_t EntryIndexForSlot(const PartitionMap& map, uint32_t slot) {
-  for (size_t e = 0; e < map.entries.size(); ++e) {
-    if (slot >= map.entries[e].lo && slot < map.entries[e].hi) {
-      return e;
-    }
-  }
-  return kNoEntry;
+double Usage(const KvShard& shard) {
+  return static_cast<double>(shard.used_bytes()) /
+         static_cast<double>(shard.capacity());
 }
+
+// A kNotFound item is a correct answer (a miss), not an SLO error.
+bool AnsweredOk(const Status& st) {
+  return st.ok() || st.code() == StatusCode::kNotFound;
+}
+
+// --- Block operators, one per KV op ------------------------------------------
+//
+// Each operator names its items' keys and request bytes and applies a group
+// of items to a shard under the block lock, one status per item, returning
+// the reply's payload bytes; KvClient::RunBatch does everything else. A
+// write operator also replays its applied items on the chain replicas and
+// says which notification to publish and which pressure it can cause. A
+// read operator (kRead) is served by the chain tail and re-sent when its
+// reply is lost.
+
+using KvPairs = std::vector<std::pair<std::string_view, std::string_view>>;
+
+struct PutOp {
+  static constexpr bool kRead = false;
+  static constexpr Repartitioner::Pressure kPressure =
+      Repartitioner::Pressure::kOverload;
+  static constexpr const char* kPublish = KvClient::kPutOp;
+
+  const KvPairs& pairs;
+  const char* block_span;
+
+  std::string_view Key(size_t i) const { return pairs[i].first; }
+  size_t RequestBytes(size_t i) const {
+    return pairs[i].first.size() + pairs[i].second.size();
+  }
+  size_t ReplicaBytes(size_t i) const { return RequestBytes(i); }
+  size_t Apply(KvShard* shard, const std::vector<size_t>& group,
+               std::vector<Status>* st) {
+    for (size_t i : group) {
+      st->push_back(shard->Put(pairs[i].first, pairs[i].second));
+    }
+    return 0;
+  }
+  void Replay(KvShard* replica, size_t i) const {
+    replica->Put(pairs[i].first, pairs[i].second);
+  }
+};
+
+struct DeleteOp {
+  static constexpr bool kRead = false;
+  static constexpr Repartitioner::Pressure kPressure =
+      Repartitioner::Pressure::kUnderload;
+  static constexpr const char* kPublish = KvClient::kDeleteOp;
+
+  const std::vector<std::string_view>& keys;
+  const char* block_span;
+
+  std::string_view Key(size_t i) const { return keys[i]; }
+  size_t RequestBytes(size_t i) const { return keys[i].size(); }
+  size_t ReplicaBytes(size_t i) const { return keys[i].size(); }
+  size_t Apply(KvShard* shard, const std::vector<size_t>& group,
+               std::vector<Status>* st) {
+    for (size_t i : group) {
+      st->push_back(shard->Delete(keys[i]));
+    }
+    return 0;
+  }
+  void Replay(KvShard* replica, size_t i) const { replica->Delete(keys[i]); }
+};
+
+// Reads leave arena views in `out` (valid only where the final status is
+// OK) and pin each arena they view while the block mutex still protects it,
+// so the views outlive a concurrent chunked migration or compaction
+// (DESIGN.md §11). No payload byte is copied.
+struct GetOp {
+  static constexpr bool kRead = true;
+
+  const std::vector<std::string_view>& keys;
+  const char* block_span;
+  KvClient::PinnedValues* out;
+
+  std::string_view Key(size_t i) const { return keys[i]; }
+  size_t RequestBytes(size_t i) const { return keys[i].size(); }
+  size_t Apply(KvShard* shard, const std::vector<size_t>& group,
+               std::vector<Status>* st) {
+    size_t reply = 0;
+    for (size_t i : group) {
+      Result<std::string_view> r = shard->Get(keys[i]);
+      if (r.ok()) {
+        reply += r.value().size();
+        st->push_back(Status::Ok());
+      } else {
+        st->push_back(r.status());
+      }
+      out->values[i] = std::move(r);
+    }
+    out->pins.emplace_back(shard->arena());
+    return reply;
+  }
+};
+
+// Read-modify-write of one key as a single operator under the block lock.
+// The old value stays a view for the merge callback; the only copy is the
+// arena copy-in of the merged result. Replicas receive the merged value so
+// the chain stays byte-identical.
+struct AccumulateOp {
+  static constexpr bool kRead = false;
+  static constexpr Repartitioner::Pressure kPressure =
+      Repartitioner::Pressure::kOverload;
+  static constexpr const char* kPublish = KvClient::kPutOp;
+
+  std::string_view key;
+  std::string_view update;
+  const KvClient::MergeFn& merge;
+  const char* block_span;
+  std::string merged;
+
+  std::string_view Key(size_t) const { return key; }
+  size_t RequestBytes(size_t) const { return key.size() + update.size(); }
+  size_t ReplicaBytes(size_t) const { return key.size() + merged.size(); }
+  size_t Apply(KvShard* shard, const std::vector<size_t>&,
+               std::vector<Status>* st) {
+    if (!shard->OwnsKey(key)) {
+      st->push_back(StaleMetadata("slot moved"));
+      return 0;
+    }
+    Result<std::string_view> old = shard->Get(key);
+    merged = merge(old.ok() ? *old : std::string_view(), update);
+    st->push_back(shard->Put(key, merged));
+    return 0;
+  }
+  void Replay(KvShard* replica, size_t) const { replica->Put(key, merged); }
+};
 
 }  // namespace
 
 constexpr char KvClient::kPutOp[];
 constexpr char KvClient::kDeleteOp[];
 
-bool KvClient::RouteSlot(uint32_t slot, PartitionEntry* out) const {
+std::vector<KvClient::Group> KvClient::GroupBySlot(
+    const std::vector<uint32_t>& slots, const std::vector<size_t>& pending,
+    std::vector<size_t>* unrouted) const {
+  std::vector<Group> groups;
   std::lock_guard<std::mutex> lock(map_mu_);
-  for (const auto& e : map_.entries) {
-    if (slot >= e.lo && slot < e.hi) {
-      *out = e;
-      return true;
+  std::vector<size_t> group_of(map_.entries.size(), kNoEntry);
+  for (size_t i : pending) {
+    size_t e = 0;
+    while (e < map_.entries.size() &&
+           !(slots[i] >= map_.entries[e].lo && slots[i] < map_.entries[e].hi)) {
+      ++e;
     }
+    if (e == map_.entries.size()) {
+      unrouted->push_back(i);
+      continue;
+    }
+    if (group_of[e] == kNoEntry) {
+      group_of[e] = groups.size();
+      groups.push_back(Group{map_.entries[e], {}});
+    }
+    groups[group_of[e]].items.push_back(i);
   }
-  return false;
+  return groups;
 }
 
-Status KvClient::Put(std::string_view key, std::string_view value) {
-  obs::TraceSpan span("kv.put", "client");
-  span.SetAttr(tenant_attr());
-  OpScope op(this);
-  const uint32_t slot = KvSlotOf(key, config().kv_hash_slots);
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
-    PartitionEntry entry;
-    if (!RouteSlot(slot, &entry)) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    Block* block = Resolve(entry.block);
-    if (block == nullptr) {
-      // Primary's server failed: promote a chain replica and retry.
-      JIFFY_RETURN_IF_ERROR(FailOver(entry));
-      continue;
-    }
-    Status st;
-    double usage = 0.0;
-    uint32_t slot_span = 0;
-    bool content_gone = false;
-    {
-      Block::OpLock lock(*block, "kv.block_wait");
-      JIFFY_TRACE_SPAN("block.kv_put", "block");
-      auto* shard = ContentAs<KvShard>(block->content());
-      if (shard == nullptr) {
-        content_gone = true;
-      } else {
-        block->CountOp();
-        st = shard->Put(key, value);
-        usage = static_cast<double>(shard->used_bytes()) /
-                static_cast<double>(shard->capacity());
-        slot_span = shard->slot_span();
+template <typename Op>
+void KvClient::RunBatch(Op& op, std::vector<Status>* statuses) {
+  const size_t n = statuses->size();
+  std::vector<uint32_t> slots(n);
+  for (size_t i = 0; i < n; ++i) {
+    slots[i] = KvSlotOf(op.Key(i), config().kv_hash_slots);
+  }
+  // Items still awaiting a definitive status. A concurrent split re-pends
+  // only the items whose slots moved; the rest of the batch is done.
+  std::vector<size_t> pending(n);
+  std::iota(pending.begin(), pending.end(), 0);
+  std::vector<Status> item;  // Per-group operator statuses.
+  std::vector<size_t> applied;
+  for (StaleRetry retry = StaleLoop(); !pending.empty() && retry.Next();) {
+    std::vector<size_t> still_pending;
+    std::vector<Group> groups = GroupBySlot(slots, pending, &still_pending);
+    bool need_refresh = !still_pending.empty();
+    for (const Group& group : groups) {
+      const PartitionEntry& entry = group.entry;
+      // Chain reads are served by the tail replica (§4.2.2).
+      const BlockId target = Op::kRead ? ReadTarget(entry) : entry.block;
+      Block* block = Resolve(target);
+      if (block == nullptr) {
+        // The server failed: promote a chain replica. FailOver refreshed the
+        // map, so the group is simply routed again.
+        const Status fo = FailOver(entry);
+        for (size_t i : group.items) {
+          if (fo.ok()) {
+            still_pending.push_back(i);
+          } else {
+            (*statuses)[i] = fo;
+          }
+        }
+        continue;
       }
-    }
-    if (content_gone || st.code() == StatusCode::kStaleMetadata) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (!st.ok()) {
-      return st;
-    }
-    // The put is applied server-side before the reply travels; a wire
-    // failure that survives every retry is reported (at-least-once).
-    JIFFY_RETURN_IF_ERROR(
-        DataExchange(entry.block, FrameBytes(key.size() + value.size()),
-                     FrameBytes(0)));
-    PropagateToReplicas<KvShard>(entry, key.size() + value.size(),
-                                 [&](KvShard* s) { s->Put(key, value); });
-    MaybePersist(entry);
-    Publish(kPutOp, key);
-    if (usage >= config().repartition_high_threshold && slot_span > 1 &&
-        entry.replicas.empty()) {
-      // Overload: hand the upper half of the slot range to a new block.
-      // Failure to scale (e.g. kOutOfMemory) does not fail the put — the
-      // data is already stored; the block simply stays hot. Replicated
-      // prefixes do not repartition (see DESIGN.md).
-      SignalOverload(block, entry);
-    }
-    op.Success();
-    return Status::Ok();
-  }
-  return Unavailable("kv put livelock (too many stale retries)");
-}
-
-Result<std::string> KvClient::Get(std::string_view key) {
-  obs::TraceSpan span("kv.get", "client");
-  span.SetAttr(tenant_attr());
-  OpScope op(this);
-  const uint32_t slot = KvSlotOf(key, config().kv_hash_slots);
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
-    PartitionEntry entry;
-    if (!RouteSlot(slot, &entry)) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    // Chain reads are served by the tail replica (§4.2.2).
-    Block* block = Resolve(ReadTarget(entry));
-    if (block == nullptr) {
-      JIFFY_RETURN_IF_ERROR(FailOver(entry));
-      continue;
-    }
-    Result<std::string> r = NotFound("");
-    bool content_gone = false;
-    {
-      Block::OpLock lock(*block, "kv.block_wait");
-      JIFFY_TRACE_SPAN("block.kv_get", "block");
-      auto* shard = ContentAs<KvShard>(block->content());
-      if (shard == nullptr) {
-        content_gone = true;
-      } else {
-        block->CountOp();
-        // The shard returns a view into arena memory; materialize it here,
-        // still under the block mutex — the single copy this read pays.
-        Result<std::string_view> rv = shard->Get(key);
-        if (rv.ok()) {
-          CopyMeter::Add(rv.value().size());
-          r = std::string(rv.value());
+      const size_t k = group.items.size();
+      size_t req_payload = 0;
+      for (size_t i : group.items) {
+        req_payload += op.RequestBytes(i);
+      }
+      size_t resp_payload = 0;
+      bool content_gone = false;
+      double usage = 0.0;
+      uint32_t slot_span = 0;
+      item.clear();
+      {
+        Block::OpLock lock(*block, "kv.block_wait");
+        JIFFY_TRACE_SPAN(op.block_span, "block");
+        auto* shard = ContentAs<KvShard>(block->content());
+        if (shard == nullptr) {
+          content_gone = true;
         } else {
-          r = rv.status();
+          block->CountOps(k);
+          resp_payload = op.Apply(shard, group.items, &item);
+          usage = Usage(*shard);
+          slot_span = shard->slot_span();
+        }
+      }
+      if (content_gone) {
+        need_refresh = true;
+        still_pending.insert(still_pending.end(), group.items.begin(),
+                             group.items.end());
+        continue;
+      }
+      // One coalesced exchange for the whole group whatever the outcome: the
+      // server saw and answered every item.
+      const Status wire =
+          DataExchangeBatch(target, k, BatchFrameBytes(k, req_payload),
+                            BatchFrameBytes(k, resp_payload));
+      if (!wire.ok()) {
+        for (size_t i : group.items) {
+          if (Op::kRead) {
+            // Reads are idempotent: a reply lost beyond the wire retries
+            // re-runs the read.
+            still_pending.push_back(i);
+          } else {
+            // The writes were applied but their reply was lost
+            // (at-least-once): the whole group reports the wire error.
+            (*statuses)[i] = wire;
+          }
+        }
+        continue;
+      }
+      applied.clear();
+      size_t applied_bytes = 0;
+      for (size_t g = 0; g < k; ++g) {
+        const size_t i = group.items[g];
+        if (item[g].code() == StatusCode::kStaleMetadata) {
+          need_refresh = true;
+          still_pending.push_back(i);
+          continue;
+        }
+        (*statuses)[i] = std::move(item[g]);
+        if constexpr (!Op::kRead) {
+          if ((*statuses)[i].ok()) {
+            applied.push_back(i);
+            applied_bytes += op.ReplicaBytes(i);
+          }
+        }
+      }
+      if constexpr (!Op::kRead) {
+        if (applied.empty()) {
+          continue;
+        }
+        PropagateToReplicas<KvShard>(entry, applied.size(), applied_bytes,
+                                     [&](KvShard* s) {
+                                       for (size_t i : applied) {
+                                         op.Replay(s, i);
+                                       }
+                                     });
+        MaybePersist(entry);
+        for (size_t i : applied) {
+          Publish(Op::kPublish, op.Key(i));
+        }
+        // Overload hands the upper half of the slot range to a new block;
+        // underload merges the block into a neighbour. A failure to scale
+        // does not fail the write. Replicated prefixes do not repartition
+        // (see DESIGN.md).
+        const bool pressed =
+            Op::kPressure == Repartitioner::Pressure::kOverload
+                ? usage >= config().repartition_high_threshold && slot_span > 1
+                : usage <= config().repartition_low_threshold &&
+                      map_entry_count() > 1;
+        if (pressed && entry.replicas.empty()) {
+          SignalPressure(block, entry, Op::kPressure);
         }
       }
     }
-    if (content_gone) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (r.ok()) {
-      // Reads are idempotent: a reply lost beyond the retry budget simply
-      // re-executes the whole read.
-      if (!DataExchange(ReadTarget(entry), FrameBytes(key.size()),
-                        FrameBytes(r.value().size()))
-               .ok()) {
-        continue;
+    pending = std::move(still_pending);
+    if (!pending.empty() && need_refresh) {
+      const Status rs = RefreshMapInternal();
+      if (!rs.ok()) {
+        for (size_t i : pending) {
+          (*statuses)[i] = rs;
+        }
+        return;
       }
-      op.Success();
-      return r;
     }
-    if (r.status().code() == StatusCode::kStaleMetadata) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
+  }
+  for (size_t i : pending) {
+    (*statuses)[i] = StaleRetry::Exhausted("kv op");
+  }
+}
+
+std::vector<Status> KvClient::PutBatch(const KvPairs& pairs,
+                                       const char* client_span,
+                                       const char* block_span) {
+  obs::TraceSpan span(client_span, "client");
+  span.SetAttr(tenant_attr());
+  OpScope scope(this);
+  std::vector<Status> statuses(pairs.size());
+  PutOp op{pairs, block_span};
+  RunBatch(op, &statuses);
+  if (std::all_of(statuses.begin(), statuses.end(),
+                  [](const Status& s) { return s.ok(); })) {
+    scope.Success();
+  }
+  return statuses;
+}
+
+std::vector<Status> KvClient::DeleteBatch(
+    const std::vector<std::string_view>& keys, const char* client_span,
+    const char* block_span) {
+  obs::TraceSpan span(client_span, "client");
+  span.SetAttr(tenant_attr());
+  OpScope scope(this);
+  std::vector<Status> statuses(keys.size());
+  DeleteOp op{keys, block_span};
+  RunBatch(op, &statuses);
+  if (std::all_of(statuses.begin(), statuses.end(), AnsweredOk)) {
+    scope.Success();
+  }
+  return statuses;
+}
+
+KvClient::PinnedValues KvClient::GetPinnedBatch(
+    const std::vector<std::string_view>& keys, const char* client_span,
+    const char* block_span) {
+  obs::TraceSpan span(client_span, "client");
+  span.SetAttr(tenant_attr());
+  OpScope scope(this);
+  PinnedValues out;
+  out.values.assign(keys.size(), NotFound(""));
+  std::vector<Status> statuses(keys.size());
+  GetOp op{keys, block_span, &out};
+  RunBatch(op, &statuses);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (!statuses[i].ok()) {
+      out.values[i] = std::move(statuses[i]);
     }
-    DataExchange(ReadTarget(entry), FrameBytes(key.size()), FrameBytes(0));
-    op.Finish(r.status());
+  }
+  if (std::all_of(out.values.begin(), out.values.end(),
+                  [](const Result<std::string_view>& r) {
+                    return AnsweredOk(r.status());
+                  })) {
+    scope.Success();
+  }
+  return out;
+}
+
+Status KvClient::Put(std::string_view key, std::string_view value) {
+  return PutBatch({{key, value}}, "kv.put", "block.kv_put")[0];
+}
+
+Result<std::string> KvClient::Get(std::string_view key) {
+  PinnedValues pinned = GetPinnedBatch({key}, "kv.get", "block.kv_get");
+  Result<std::string_view>& r = pinned.values[0];
+  if (!r.ok()) {
     return r.status();
   }
-  return Unavailable("kv get livelock (too many stale retries)");
+  // The pin keeps the arena bytes alive: this is the single copy a read
+  // pays (DESIGN.md §11).
+  CopyMeter::Add(r.value().size());
+  return std::string(r.value());
 }
 
 Status KvClient::Delete(std::string_view key) {
-  obs::TraceSpan span("kv.delete", "client");
-  span.SetAttr(tenant_attr());
-  OpScope op(this);
-  const uint32_t slot = KvSlotOf(key, config().kv_hash_slots);
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
-    PartitionEntry entry;
-    if (!RouteSlot(slot, &entry)) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    Block* block = Resolve(entry.block);
-    if (block == nullptr) {
-      JIFFY_RETURN_IF_ERROR(FailOver(entry));
-      continue;
-    }
-    Status st;
-    double usage = 0.0;
-    bool content_gone = false;
-    {
-      Block::OpLock lock(*block, "kv.block_wait");
-      JIFFY_TRACE_SPAN("block.kv_delete", "block");
-      auto* shard = ContentAs<KvShard>(block->content());
-      if (shard == nullptr) {
-        content_gone = true;
-      } else {
-        block->CountOp();
-        st = shard->Delete(key);
-        usage = static_cast<double>(shard->used_bytes()) /
-                static_cast<double>(shard->capacity());
-      }
-    }
-    if (content_gone || st.code() == StatusCode::kStaleMetadata) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (!st.ok()) {
-      return st;
-    }
-    JIFFY_RETURN_IF_ERROR(DataExchange(entry.block, FrameBytes(key.size()), FrameBytes(0)));
-    PropagateToReplicas<KvShard>(entry, key.size(),
-                                 [&](KvShard* s) { s->Delete(key); });
-    MaybePersist(entry);
-    Publish(kDeleteOp, key);
-    if (usage <= config().repartition_low_threshold &&
-        map_entry_count() > 1 && entry.replicas.empty()) {
-      SignalUnderload(block, entry);
-    }
-    op.Finish(st);
-    return Status::Ok();
-  }
-  return Unavailable("kv delete livelock (too many stale retries)");
+  return DeleteBatch({key}, "kv.delete", "block.kv_delete")[0];
 }
 
 Status KvClient::Accumulate(std::string_view key, std::string_view update,
                             const MergeFn& merge) {
   obs::TraceSpan span("kv.accumulate", "client");
   span.SetAttr(tenant_attr());
-  OpScope op(this);
-  const uint32_t slot = KvSlotOf(key, config().kv_hash_slots);
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
-    PartitionEntry entry;
-    if (!RouteSlot(slot, &entry)) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    Block* block = Resolve(entry.block);
-    if (block == nullptr) {
-      JIFFY_RETURN_IF_ERROR(FailOver(entry));
-      continue;
-    }
-    Status st;
-    double usage = 0.0;
-    uint32_t slot_span = 0;
-    bool content_gone = false;
-    std::string merged;
-    {
-      Block::OpLock lock(*block, "kv.block_wait");
-      JIFFY_TRACE_SPAN("block.kv_accumulate", "block");
-      auto* shard = ContentAs<KvShard>(block->content());
-      if (shard == nullptr) {
-        content_gone = true;
-      } else if (!shard->OwnsKey(key)) {
-        st = StaleMetadata("slot moved");
-      } else {
-        block->CountOp();
-        // The old value stays a view for the merge callback — the only copy
-        // is the arena copy-in of the merged result inside Put.
-        Result<std::string_view> old = shard->Get(key);
-        merged = merge(old.ok() ? *old : std::string_view(), update);
-        st = shard->Put(key, merged);
-        usage = static_cast<double>(shard->used_bytes()) /
-                static_cast<double>(shard->capacity());
-        slot_span = shard->slot_span();
-      }
-    }
-    if (content_gone || st.code() == StatusCode::kStaleMetadata) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (!st.ok()) {
-      return st;
-    }
-    JIFFY_RETURN_IF_ERROR(
-        DataExchange(entry.block, FrameBytes(key.size() + update.size()),
-                     FrameBytes(0)));
-    // The primary resolved the accumulator; replicas receive the merged
-    // value so the chain stays byte-identical.
-    PropagateToReplicas<KvShard>(entry, key.size() + merged.size(),
-                                 [&](KvShard* s) { s->Put(key, merged); });
-    MaybePersist(entry);
-    Publish(kPutOp, key);
-    if (usage >= config().repartition_high_threshold && slot_span > 1 &&
-        entry.replicas.empty()) {
-      SignalOverload(block, entry);
-    }
-    op.Success();
-    return Status::Ok();
+  OpScope scope(this);
+  std::vector<Status> statuses(1);
+  AccumulateOp op{key, update, merge, "block.kv_accumulate", {}};
+  RunBatch(op, &statuses);
+  if (statuses[0].ok()) {
+    scope.Success();
   }
-  return Unavailable("kv accumulate livelock (too many stale retries)");
+  return statuses[0];
 }
 
 Result<bool> KvClient::Exists(std::string_view key) {
@@ -309,7 +426,7 @@ Result<bool> KvClient::Exists(std::string_view key) {
 
 std::vector<Status> KvClient::MultiPut(
     const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::vector<std::pair<std::string_view, std::string_view>> views;
+  KvPairs views;
   views.reserve(pairs.size());
   for (const auto& [k, v] : pairs) {
     views.emplace_back(k, v);
@@ -317,152 +434,8 @@ std::vector<Status> KvClient::MultiPut(
   return MultiPut(views);
 }
 
-std::vector<Status> KvClient::MultiPut(
-    const std::vector<std::pair<std::string_view, std::string_view>>& pairs) {
-  obs::TraceSpan op_span("kv.multi_put", "client");
-  op_span.SetAttr(tenant_attr());
-  OpScope op(this);
-  std::vector<Status> statuses(pairs.size(), Status::Ok());
-  if (pairs.empty()) {
-    return statuses;
-  }
-  std::vector<uint32_t> slots(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    slots[i] = KvSlotOf(pairs[i].first, config().kv_hash_slots);
-  }
-  // Indices still awaiting a definitive status. A concurrent split only
-  // re-pends the items whose slots moved — the rest of the batch is done.
-  std::vector<size_t> pending(pairs.size());
-  std::iota(pending.begin(), pending.end(), 0);
-  for (int attempt = 0; attempt < kMaxStaleRetries && !pending.empty();
-       ++attempt) {
-    BackoffRetry(attempt);
-    const PartitionMap map = CachedMap();
-    bool need_refresh = false;
-    std::vector<std::vector<size_t>> groups(map.entries.size());
-    std::vector<size_t> still_pending;
-    for (size_t i : pending) {
-      const size_t e = EntryIndexForSlot(map, slots[i]);
-      if (e == kNoEntry) {
-        need_refresh = true;
-        still_pending.push_back(i);
-      } else {
-        groups[e].push_back(i);
-      }
-    }
-    for (size_t e = 0; e < groups.size(); ++e) {
-      const std::vector<size_t>& group = groups[e];
-      if (group.empty()) {
-        continue;
-      }
-      const PartitionEntry& entry = map.entries[e];
-      Block* block = Resolve(entry.block);
-      if (block == nullptr) {
-        const Status fo = FailOver(entry);
-        if (!fo.ok()) {
-          for (size_t i : group) {
-            statuses[i] = fo;
-          }
-        } else {
-          // FailOver already refreshed the map; just re-route this group.
-          still_pending.insert(still_pending.end(), group.begin(), group.end());
-        }
-        continue;
-      }
-      std::vector<std::pair<std::string_view, std::string_view>> ops;
-      ops.reserve(group.size());
-      size_t payload = 0;
-      for (size_t i : group) {
-        ops.emplace_back(pairs[i].first, pairs[i].second);
-        payload += pairs[i].first.size() + pairs[i].second.size();
-      }
-      const size_t req_bytes = BatchFrameBytes(ops.size(), payload);
-      std::vector<Status> item_status;
-      bool content_gone = false;
-      double usage = 0.0;
-      uint32_t slot_span = 0;
-      {
-        Block::OpLock lock(*block, "kv.block_wait");
-        JIFFY_TRACE_SPAN("block.kv_multi_put", "block");
-        auto* shard = ContentAs<KvShard>(block->content());
-        if (shard == nullptr) {
-          content_gone = true;
-        } else {
-          block->CountOps(ops.size());
-          shard->MultiPut(ops, &item_status);
-          usage = static_cast<double>(shard->used_bytes()) /
-                  static_cast<double>(shard->capacity());
-          slot_span = shard->slot_span();
-        }
-      }
-      if (content_gone) {
-        need_refresh = true;
-        still_pending.insert(still_pending.end(), group.begin(), group.end());
-        continue;
-      }
-      // One coalesced exchange for the whole group regardless of outcome:
-      // the server saw and answered every item. A wire failure that
-      // survives every retry loses the per-item reply, so the whole group
-      // reports it (the puts themselves were applied — at-least-once).
-      const Status wire = DataExchangeBatch(entry.block, ops.size(), req_bytes,
-                                            BatchFrameBytes(ops.size(), 0));
-      if (!wire.ok()) {
-        for (size_t i : group) {
-          statuses[i] = wire;
-        }
-        continue;
-      }
-      std::vector<size_t> applied;
-      size_t applied_bytes = 0;
-      for (size_t g = 0; g < group.size(); ++g) {
-        const size_t i = group[g];
-        if (item_status[g].code() == StatusCode::kStaleMetadata) {
-          need_refresh = true;
-          still_pending.push_back(i);
-        } else {
-          statuses[i] = item_status[g];
-          if (item_status[g].ok()) {
-            applied.push_back(i);
-            applied_bytes += pairs[i].first.size() + pairs[i].second.size();
-          }
-        }
-      }
-      if (!applied.empty()) {
-        PropagateBatchToReplicas<KvShard>(
-            entry, applied.size(), applied_bytes, [&](KvShard* s) {
-              for (size_t i : applied) {
-                s->Put(pairs[i].first, pairs[i].second);
-              }
-            });
-        MaybePersist(entry);
-        for (size_t i : applied) {
-          Publish(kPutOp, pairs[i].first);
-        }
-        if (usage >= config().repartition_high_threshold && slot_span > 1 &&
-            entry.replicas.empty()) {
-          SignalOverload(block, entry);
-        }
-      }
-    }
-    pending = std::move(still_pending);
-    if (!pending.empty() && need_refresh) {
-      const Status rs = RefreshMapInternal();
-      if (!rs.ok()) {
-        for (size_t i : pending) {
-          statuses[i] = rs;
-        }
-        return statuses;
-      }
-    }
-  }
-  for (size_t i : pending) {
-    statuses[i] = Unavailable("kv multi-put livelock (too many stale retries)");
-  }
-  if (std::all_of(statuses.begin(), statuses.end(),
-                  [](const Status& s) { return s.ok(); })) {
-    op.Success();
-  }
-  return statuses;
+std::vector<Status> KvClient::MultiPut(const KvPairs& pairs) {
+  return PutBatch(pairs, "kv.multi_put", "block.kv_multi_put");
 }
 
 WireValues KvClient::MultiGet(const std::vector<std::string>& keys) {
@@ -503,132 +476,7 @@ WireValues KvClient::MultiGet(const std::vector<std::string_view>& keys) {
 
 KvClient::PinnedValues KvClient::MultiGetPinned(
     const std::vector<std::string_view>& keys) {
-  obs::TraceSpan op_span("kv.multi_get", "client");
-  op_span.SetAttr(tenant_attr());
-  OpScope op(this);
-  PinnedValues out;
-  out.values.assign(keys.size(), NotFound(""));
-  std::vector<Result<std::string_view>>& results = out.values;
-  if (keys.empty()) {
-    op.Success();
-    return out;
-  }
-  std::vector<uint32_t> slots(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    slots[i] = KvSlotOf(keys[i], config().kv_hash_slots);
-  }
-  std::vector<size_t> pending(keys.size());
-  std::iota(pending.begin(), pending.end(), 0);
-  for (int attempt = 0; attempt < kMaxStaleRetries && !pending.empty();
-       ++attempt) {
-    BackoffRetry(attempt);
-    const PartitionMap map = CachedMap();
-    bool need_refresh = false;
-    std::vector<std::vector<size_t>> groups(map.entries.size());
-    std::vector<size_t> still_pending;
-    for (size_t i : pending) {
-      const size_t e = EntryIndexForSlot(map, slots[i]);
-      if (e == kNoEntry) {
-        need_refresh = true;
-        still_pending.push_back(i);
-      } else {
-        groups[e].push_back(i);
-      }
-    }
-    for (size_t e = 0; e < groups.size(); ++e) {
-      const std::vector<size_t>& group = groups[e];
-      if (group.empty()) {
-        continue;
-      }
-      const PartitionEntry& entry = map.entries[e];
-      // Chain reads are served by the tail replica (§4.2.2).
-      Block* block = Resolve(ReadTarget(entry));
-      if (block == nullptr) {
-        const Status fo = FailOver(entry);
-        if (!fo.ok()) {
-          for (size_t i : group) {
-            results[i] = fo;
-          }
-        } else {
-          still_pending.insert(still_pending.end(), group.begin(), group.end());
-        }
-        continue;
-      }
-      std::vector<std::string_view> ops;
-      ops.reserve(group.size());
-      size_t req_payload = 0;
-      for (size_t i : group) {
-        ops.emplace_back(keys[i]);
-        req_payload += keys[i].size();
-      }
-      std::vector<Result<std::string_view>> item_results;
-      bool content_gone = false;
-      {
-        Block::OpLock lock(*block, "kv.block_wait");
-        JIFFY_TRACE_SPAN("block.kv_multi_get", "block");
-        auto* shard = ContentAs<KvShard>(block->content());
-        if (shard == nullptr) {
-          content_gone = true;
-        } else {
-          block->CountOps(ops.size());
-          shard->MultiGet(ops, &item_results);
-          // Pin while the mutex still protects the arena: from here the
-          // views stay valid even against a concurrent chunked migration
-          // or compaction (DESIGN.md §11).
-          out.pins.emplace_back(shard->arena());
-        }
-      }
-      if (content_gone) {
-        need_refresh = true;
-        still_pending.insert(still_pending.end(), group.begin(), group.end());
-        continue;
-      }
-      size_t resp_payload = 0;  // frame + 8 B/item accounted by BatchFrameBytes
-      for (size_t g = 0; g < group.size(); ++g) {
-        const size_t i = group[g];
-        if (!item_results[g].ok() &&
-            item_results[g].status().code() == StatusCode::kStaleMetadata) {
-          need_refresh = true;
-          still_pending.push_back(i);
-        } else {
-          if (item_results[g].ok()) {
-            resp_payload += item_results[g].value().size();
-          }
-          results[i] = std::move(item_results[g]);
-        }
-      }
-      const Status wire = DataExchangeBatch(
-          ReadTarget(entry), ops.size(),
-          BatchFrameBytes(ops.size(), req_payload),
-          BatchFrameBytes(ops.size(), resp_payload));
-      if (!wire.ok()) {
-        for (size_t i : group) {
-          results[i] = wire;
-        }
-      }
-    }
-    pending = std::move(still_pending);
-    if (!pending.empty() && need_refresh) {
-      const Status rs = RefreshMapInternal();
-      if (!rs.ok()) {
-        for (size_t i : pending) {
-          results[i] = rs;
-        }
-        return out;
-      }
-    }
-  }
-  for (size_t i : pending) {
-    results[i] = Unavailable("kv multi-get livelock (too many stale retries)");
-  }
-  if (std::all_of(results.begin(), results.end(),
-                  [](const Result<std::string_view>& r) {
-                    return r.ok() ||
-                           r.status().code() == StatusCode::kNotFound;
-                  })) {
-    op.Success();
-  }
-  return out;
+  return GetPinnedBatch(keys, "kv.multi_get", "block.kv_multi_get");
 }
 
 std::vector<Status> KvClient::MultiDelete(const std::vector<std::string>& keys) {
@@ -638,149 +486,18 @@ std::vector<Status> KvClient::MultiDelete(const std::vector<std::string>& keys) 
 
 std::vector<Status> KvClient::MultiDelete(
     const std::vector<std::string_view>& keys) {
-  obs::TraceSpan op_span("kv.multi_delete", "client");
-  op_span.SetAttr(tenant_attr());
-  OpScope op(this);
-  std::vector<Status> statuses(keys.size(), Status::Ok());
-  if (keys.empty()) {
-    return statuses;
-  }
-  std::vector<uint32_t> slots(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    slots[i] = KvSlotOf(keys[i], config().kv_hash_slots);
-  }
-  std::vector<size_t> pending(keys.size());
-  std::iota(pending.begin(), pending.end(), 0);
-  for (int attempt = 0; attempt < kMaxStaleRetries && !pending.empty();
-       ++attempt) {
-    BackoffRetry(attempt);
-    const PartitionMap map = CachedMap();
-    bool need_refresh = false;
-    std::vector<std::vector<size_t>> groups(map.entries.size());
-    std::vector<size_t> still_pending;
-    for (size_t i : pending) {
-      const size_t e = EntryIndexForSlot(map, slots[i]);
-      if (e == kNoEntry) {
-        need_refresh = true;
-        still_pending.push_back(i);
-      } else {
-        groups[e].push_back(i);
-      }
-    }
-    for (size_t e = 0; e < groups.size(); ++e) {
-      const std::vector<size_t>& group = groups[e];
-      if (group.empty()) {
-        continue;
-      }
-      const PartitionEntry& entry = map.entries[e];
-      Block* block = Resolve(entry.block);
-      if (block == nullptr) {
-        const Status fo = FailOver(entry);
-        if (!fo.ok()) {
-          for (size_t i : group) {
-            statuses[i] = fo;
-          }
-        } else {
-          still_pending.insert(still_pending.end(), group.begin(), group.end());
-        }
-        continue;
-      }
-      std::vector<std::string_view> ops;
-      ops.reserve(group.size());
-      size_t payload = 0;
-      for (size_t i : group) {
-        ops.emplace_back(keys[i]);
-        payload += keys[i].size();
-      }
-      const size_t req_bytes = BatchFrameBytes(ops.size(), payload);
-      std::vector<Status> item_status;
-      bool content_gone = false;
-      double usage = 0.0;
-      {
-        Block::OpLock lock(*block, "kv.block_wait");
-        JIFFY_TRACE_SPAN("block.kv_multi_delete", "block");
-        auto* shard = ContentAs<KvShard>(block->content());
-        if (shard == nullptr) {
-          content_gone = true;
-        } else {
-          block->CountOps(ops.size());
-          shard->MultiDelete(ops, &item_status);
-          usage = static_cast<double>(shard->used_bytes()) /
-                  static_cast<double>(shard->capacity());
-        }
-      }
-      if (content_gone) {
-        need_refresh = true;
-        still_pending.insert(still_pending.end(), group.begin(), group.end());
-        continue;
-      }
-      const Status wire = DataExchangeBatch(entry.block, ops.size(), req_bytes,
-                                            BatchFrameBytes(ops.size(), 0));
-      if (!wire.ok()) {
-        for (size_t i : group) {
-          statuses[i] = wire;
-        }
-        continue;
-      }
-      std::vector<size_t> applied;
-      size_t applied_bytes = 0;
-      for (size_t g = 0; g < group.size(); ++g) {
-        const size_t i = group[g];
-        if (item_status[g].code() == StatusCode::kStaleMetadata) {
-          need_refresh = true;
-          still_pending.push_back(i);
-        } else {
-          statuses[i] = item_status[g];
-          if (item_status[g].ok()) {
-            applied.push_back(i);
-            applied_bytes += keys[i].size();
-          }
-        }
-      }
-      if (!applied.empty()) {
-        PropagateBatchToReplicas<KvShard>(
-            entry, applied.size(), applied_bytes, [&](KvShard* s) {
-              for (size_t i : applied) {
-                s->Delete(keys[i]);
-              }
-            });
-        MaybePersist(entry);
-        for (size_t i : applied) {
-          Publish(kDeleteOp, keys[i]);
-        }
-        if (usage <= config().repartition_low_threshold &&
-            map_entry_count() > 1 && entry.replicas.empty()) {
-          SignalUnderload(block, entry);
-        }
-      }
-    }
-    pending = std::move(still_pending);
-    if (!pending.empty() && need_refresh) {
-      const Status rs = RefreshMapInternal();
-      if (!rs.ok()) {
-        for (size_t i : pending) {
-          statuses[i] = rs;
-        }
-        return statuses;
-      }
-    }
-  }
-  for (size_t i : pending) {
-    statuses[i] =
-        Unavailable("kv multi-delete livelock (too many stale retries)");
-  }
-  if (std::all_of(statuses.begin(), statuses.end(), [](const Status& s) {
-        return s.ok() || s.code() == StatusCode::kNotFound;
-      })) {
-    op.Success();
-  }
-  return statuses;
+  return DeleteBatch(keys, "kv.multi_delete", "block.kv_multi_delete");
 }
 
-void KvClient::SignalOverload(Block* block, const PartitionEntry& entry) {
+void KvClient::SignalPressure(Block* block, const PartitionEntry& entry,
+                              Repartitioner::Pressure pressure) {
   Repartitioner* rp = repartitioner();
   if (rp == nullptr) {
-    TrySplit(entry);
+    if (pressure == Repartitioner::Pressure::kOverload) {
+      TrySplit(entry);
+    } else {
+      TryMerge(entry);
+    }
     return;
   }
   Repartitioner::Hint hint;
@@ -788,22 +505,7 @@ void KvClient::SignalOverload(Block* block, const PartitionEntry& entry) {
   hint.prefix = prefix();
   hint.block = entry.block;
   hint.type = DsType::kKvStore;
-  hint.pressure = Repartitioner::Pressure::kOverload;
-  rp->Flag(block, std::move(hint));
-}
-
-void KvClient::SignalUnderload(Block* block, const PartitionEntry& entry) {
-  Repartitioner* rp = repartitioner();
-  if (rp == nullptr) {
-    TryMerge(entry);
-    return;
-  }
-  Repartitioner::Hint hint;
-  hint.job = job();
-  hint.prefix = prefix();
-  hint.block = entry.block;
-  hint.type = DsType::kKvStore;
-  hint.pressure = Repartitioner::Pressure::kUnderload;
+  hint.pressure = pressure;
   rp->Flag(block, std::move(hint));
 }
 
@@ -828,9 +530,7 @@ Status KvClient::TrySplit(const PartitionEntry& entry) {
       if (shard == nullptr || shard->slot_span() < 2) {
         return Status::Ok();
       }
-      const double usage = static_cast<double>(shard->used_bytes()) /
-                           static_cast<double>(shard->capacity());
-      if (usage < config().repartition_high_threshold) {
+      if (Usage(*shard) < config().repartition_high_threshold) {
         return Status::Ok();
       }
       lo = shard->slot_lo();

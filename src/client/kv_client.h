@@ -31,6 +31,8 @@ class KvClient : public DsClient {
       : DsClient(cluster, std::move(job), std::move(prefix),
                  std::move(initial_map), "kv") {}
 
+  // Single ops run as batches of one through the batch engine below
+  // (DESIGN.md §7). Get copies the value once, from a pinned view.
   Status Put(std::string_view key, std::string_view value);
   Result<std::string> Get(std::string_view key);
   Status Delete(std::string_view key);
@@ -92,15 +94,45 @@ class KvClient : public DsClient {
   Result<size_t> CountPairs();
 
  private:
-  // Finds the cached entry owning `slot`; returns false when absent (map
-  // stale).
-  bool RouteSlot(uint32_t slot, PartitionEntry* out) const;
+  // Items of one batch bound for one block, with the entry that routed them.
+  struct Group {
+    PartitionEntry entry;
+    std::vector<size_t> items;
+  };
+
+  // Groups the `pending` items by the cached entry owning their slot; items
+  // whose slot no entry owns (the map is stale) go to `unrouted`.
+  std::vector<Group> GroupBySlot(const std::vector<uint32_t>& slots,
+                                 const std::vector<size_t>& pending,
+                                 std::vector<size_t>* unrouted) const;
+
+  // The one engine behind every KV op, single and batched (DESIGN.md §7).
+  // It routes the batch's items through the cached map, groups them per
+  // block, and runs `op`'s block operator once per group under one lock
+  // hold and one coalesced exchange. It fails over dead blocks, re-sends
+  // only the items a split moved after refreshing the map, replicates and
+  // publishes the applied writes, and signals pressure. Each item's final
+  // status lands in `statuses` (pre-sized to the batch). `Op` is one of the
+  // operator types in kv_client.cc.
+  template <typename Op>
+  void RunBatch(Op& op, std::vector<Status>* statuses);
+
+  // The shared bodies of the public ops; the span names keep single ops
+  // distinguishable from batches in traces.
+  std::vector<Status> PutBatch(
+      const std::vector<std::pair<std::string_view, std::string_view>>& pairs,
+      const char* client_span, const char* block_span);
+  std::vector<Status> DeleteBatch(const std::vector<std::string_view>& keys,
+                                  const char* client_span,
+                                  const char* block_span);
+  PinnedValues GetPinnedBatch(const std::vector<std::string_view>& keys,
+                              const char* client_span, const char* block_span);
 
   // Overload/underload dispatch: hands the pressure hint to the background
   // repartitioner when one is running (DESIGN.md §9), else falls back to the
   // legacy inline split/merge on this thread.
-  void SignalOverload(Block* block, const PartitionEntry& entry);
-  void SignalUnderload(Block* block, const PartitionEntry& entry);
+  void SignalPressure(Block* block, const PartitionEntry& entry,
+                      Repartitioner::Pressure pressure);
 
   // Splits `entry`'s block: upper half of its slots move to a new block.
   // Inline (blocking) path — the data move happens under both block locks.

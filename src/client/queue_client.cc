@@ -17,20 +17,18 @@ void QueueClient::SetMaxQueueLength(uint64_t n) {
   state()->max_queue_length.store(n);
 }
 
-bool QueueClient::FlagPressure(Block* block, BlockId id,
-                               Repartitioner::Pressure p) {
+void QueueClient::FlagGrowth(Block* block, BlockId id) {
   Repartitioner* rp = repartitioner();
   if (rp == nullptr) {
-    return false;
+    return;
   }
   Repartitioner::Hint hint;
   hint.job = job();
   hint.prefix = prefix();
   hint.block = id;
   hint.type = DsType::kQueue;
-  hint.pressure = p;
+  hint.pressure = Repartitioner::Pressure::kOverload;
   rp->Flag(block, std::move(hint));
-  return true;
 }
 
 Status QueueClient::GrowTail(BlockId tail_block, uint64_t last_index) {
@@ -74,86 +72,7 @@ Status QueueClient::ShrinkHead(BlockId head_block) {
 }
 
 Status QueueClient::Enqueue(std::string_view item) {
-  obs::TraceSpan span("queue.enqueue", "client");
-  span.SetAttr(tenant_attr());
-  OpScope op(this);
-  const uint64_t bound = state()->max_queue_length.load();
-  if (bound > 0 &&
-      state()->queue_items.load(std::memory_order_relaxed) >=
-          static_cast<int64_t>(bound)) {
-    return Unavailable("queue at maxQueueLength=" + std::to_string(bound));
-  }
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
-    PartitionMap map = CachedMap();
-    if (map.entries.empty()) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    const PartitionEntry tail = map.entries.back();
-    Block* block = Resolve(tail.block);
-    if (block == nullptr) {
-      JIFFY_RETURN_IF_ERROR(FailOver(tail));
-      continue;
-    }
-    bool accepted = false;
-    bool content_gone = false;
-    double usage = 0.0;
-    {
-      Block::OpLock lock(*block, "queue.block_wait");
-      JIFFY_TRACE_SPAN("block.queue_enqueue", "block");
-      auto* seg = ContentAs<QueueSegment>(block->content());
-      if (seg == nullptr) {
-        // Refresh outside the block lock (lock order: controller → block).
-        content_gone = true;
-      } else if (!seg->sealed()) {
-        block->CountOp();
-        // The segment copies the view into its arena; on overflow it seals
-        // itself and the caller's bytes are untouched for the retry against
-        // the new tail.
-        accepted = seg->Enqueue(item);
-        usage = static_cast<double>(seg->used_bytes()) /
-                static_cast<double>(seg->capacity());
-      }
-    }
-    if (content_gone) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (accepted) {
-      // The item is in the queue; a wire failure past every retry means the
-      // ack was lost (at-least-once — re-sending would double-enqueue).
-      JIFFY_RETURN_IF_ERROR(
-          DataExchange(tail.block, FrameBytes(item.size()), FrameBytes(0)));
-      if (!tail.replicas.empty()) {
-        // Replicas replay the same caller-owned view — no defensive copy.
-        PropagateToReplicas<QueueSegment>(
-            tail, item.size(), [&](QueueSegment* s) { s->Enqueue(item); });
-        MaybePersist(tail);
-      }
-      state()->queue_items.fetch_add(1, std::memory_order_relaxed);
-      if (Subscribed()) {
-        Publish(kEnqueueOp, std::to_string(item.size()));
-      }
-      if (usage >= config().repartition_high_threshold &&
-          tail.replicas.empty()) {
-        // Proactive growth: ask the background worker to seal this tail and
-        // append a fresh one before producers hit the overflow path.
-        FlagPressure(block, tail.block, Repartitioner::Pressure::kOverload);
-      }
-      op.Success();
-      return Status::Ok();
-    }
-    // Tail full: grow, then retry with the same (caller-owned) view.
-    JIFFY_RETURN_IF_ERROR(GrowTail(tail.block, tail.lo));
-    PartitionMap refreshed = CachedMap();
-    if (!refreshed.entries.empty() &&
-        refreshed.entries.back().block == tail.block) {
-      // Growth raced and we still see the old tail; force one more refresh.
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-    }
-  }
-  return Unavailable("queue enqueue livelock (too many stale retries)");
+  return EnqueueItems({item}, "queue.enqueue", "block.queue_enqueue");
 }
 
 Status QueueClient::EnqueueBatch(const std::vector<std::string>& items) {
@@ -162,7 +81,13 @@ Status QueueClient::EnqueueBatch(const std::vector<std::string>& items) {
 }
 
 Status QueueClient::EnqueueBatch(const std::vector<std::string_view>& items) {
-  obs::TraceSpan span("queue.enqueue_batch", "client");
+  return EnqueueItems(items, "queue.enqueue_batch", "block.queue_enqueue_batch");
+}
+
+Status QueueClient::EnqueueItems(const std::vector<std::string_view>& items,
+                                 const char* client_span,
+                                 const char* block_span) {
+  obs::TraceSpan span(client_span, "client");
   span.SetAttr(tenant_attr());
   OpScope op(this);
   if (items.empty()) {
@@ -177,9 +102,7 @@ Status QueueClient::EnqueueBatch(const std::vector<std::string_view>& items) {
     return Unavailable("queue at maxQueueLength=" + std::to_string(bound));
   }
   size_t done = 0;
-  for (int attempt = 0; attempt < kMaxStaleRetries && done < items.size();
-       ++attempt) {
-    BackoffRetry(attempt);
+  for (StaleRetry retry = StaleLoop(); done < items.size() && retry.Next();) {
     PartitionMap map = CachedMap();
     if (map.entries.empty()) {
       JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
@@ -196,7 +119,7 @@ Status QueueClient::EnqueueBatch(const std::vector<std::string_view>& items) {
     double usage = 0.0;
     {
       Block::OpLock lock(*block, "queue.block_wait");
-      JIFFY_TRACE_SPAN("block.queue_enqueue_batch", "block");
+      JIFFY_TRACE_SPAN(block_span, "block");
       auto* seg = ContentAs<QueueSegment>(block->content());
       if (seg == nullptr) {
         content_gone = true;
@@ -224,7 +147,7 @@ Status QueueClient::EnqueueBatch(const std::vector<std::string_view>& items) {
                                               FrameBytes(0)));
       if (!tail.replicas.empty()) {
         // Replicas replay the same caller-owned views.
-        PropagateBatchToReplicas<QueueSegment>(
+        PropagateToReplicas<QueueSegment>(
             tail, accepted, bytes, [&](QueueSegment* s) {
               for (size_t i = done; i < done + accepted; ++i) {
                 s->Enqueue(items[i]);
@@ -240,12 +163,13 @@ Status QueueClient::EnqueueBatch(const std::vector<std::string_view>& items) {
         }
       }
       done += accepted;
+      retry.Progress();
       if (done == items.size() &&
           usage >= config().repartition_high_threshold &&
           tail.replicas.empty()) {
         // Whole batch landed but the tail is nearly full — grow it in the
         // background before the next producer overflows.
-        FlagPressure(block, tail.block, Repartitioner::Pressure::kOverload);
+        FlagGrowth(block, tail.block);
       }
     }
     if (done < items.size()) {
@@ -259,125 +183,29 @@ Status QueueClient::EnqueueBatch(const std::vector<std::string_view>& items) {
     }
   }
   if (done < items.size()) {
-    return Unavailable("queue enqueue-batch livelock (too many stale retries)");
+    return StaleRetry::Exhausted("queue enqueue");
   }
   op.Success();
   return Status::Ok();
 }
 
 Result<std::string> QueueClient::Dequeue() {
-  obs::TraceSpan span("queue.dequeue", "client");
-  span.SetAttr(tenant_attr());
-  OpScope op(this);
-  // One redelivery token per logical dequeue call: if the reply is lost and
-  // we re-send, the segment redelivers the same item instead of popping a
-  // second one (exactly-once; DESIGN.md §10).
-  const uint64_t token =
-      state()->next_delivery_token.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (int attempt = 0; attempt < kMaxStaleRetries; ++attempt) {
-    BackoffRetry(attempt);
-    PartitionMap map = CachedMap();
-    if (map.entries.empty()) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    const PartitionEntry head = map.entries.front();
-    Block* block = Resolve(head.block);
-    if (block == nullptr) {
-      JIFFY_RETURN_IF_ERROR(FailOver(head));
-      continue;
-    }
-    bool drained = false;
-    bool sealed = false;
-    bool head_is_tail = map.entries.size() == 1;
-    std::string item;
-    bool got = false;
-    bool content_gone = false;
-    {
-      Block::OpLock lock(*block, "queue.block_wait");
-      JIFFY_TRACE_SPAN("block.queue_dequeue", "block");
-      auto* seg = ContentAs<QueueSegment>(block->content());
-      if (seg == nullptr) {
-        content_gone = true;
-      } else {
-        block->CountOp();
-        // The segment hands back a view into its arena; materialize it
-        // under the block mutex — the single copy this dequeue pays. (A
-        // concurrent ShrinkHead could destroy the segment after unlock.)
-        Result<std::string_view> popped = seg->DequeueWithToken(token);
-        if (popped.ok()) {
-          CopyMeter::Add(popped.value().size());
-          item = std::string(*popped);
-          got = true;
-        }
-        drained = seg->Drained();
-        sealed = seg->sealed();
-      }
-    }
-    if (content_gone) {
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (got) {
-      if (!DataExchange(head.block, FrameBytes(0), FrameBytes(item.size()))
-               .ok()) {
-        // Reply lost beyond the wire retries: re-run with the same token —
-        // the segment redelivers this item rather than consuming another.
-        // Bookkeeping below runs only on the acknowledged delivery.
-        continue;
-      }
-      PropagateToReplicas<QueueSegment>(head, 8, [](QueueSegment* s) {
-        s->Dequeue();
-      });
-      MaybePersist(head);
-      state()->queue_items.fetch_sub(1, std::memory_order_relaxed);
-      if (Subscribed()) {
-        Publish(kDequeueOp, std::to_string(item.size()));
-      }
-      if (drained && !head_is_tail) {
-        // The dequeue itself succeeded; reclaiming the drained head is pure
-        // cleanup, so hand it to the background worker when one is running.
-        if (head.replicas.empty() &&
-            FlagPressure(block, head.block,
-                         Repartitioner::Pressure::kUnderload)) {
-          op.Success();
-          return item;
-        }
-        JIFFY_RETURN_IF_ERROR(ShrinkHead(head.block));
-      }
-      op.Success();
-      return item;
-    }
-    if (drained && !head_is_tail) {
-      JIFFY_RETURN_IF_ERROR(ShrinkHead(head.block));
-      continue;  // Retry against the next segment.
-    }
-    if (sealed) {
-      // The head is sealed, so a successor segment exists (or is being
-      // allocated right now) — our single-entry map is stale. Refresh and
-      // retry rather than reporting an empty queue.
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    if (!head_is_tail) {
-      // A non-tail segment is sealed by construction (growth always seals
-      // the predecessor first). An unsealed, empty segment where our map
-      // expects an interior head means the head block was reclaimed and its
-      // block reused as a fresh tail — the map is stale, not the queue empty.
-      JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-      continue;
-    }
-    // Empty probe: the reply carries nothing consumable, so a lost reply
-    // needs no redelivery handling.
-    DataExchange(head.block, FrameBytes(0), FrameBytes(0));
-    op.Success();  // An empty queue is a correct answer, not an SLO error.
+  JIFFY_ASSIGN_OR_RETURN(
+      std::vector<std::string> items,
+      DequeueItems(1, "queue.dequeue", "block.queue_dequeue"));
+  if (items.empty()) {
     return NotFound("queue empty");
   }
-  return Unavailable("queue dequeue livelock (too many stale retries)");
+  return std::move(items[0]);
 }
 
 Result<std::vector<std::string>> QueueClient::DequeueBatch(size_t max_n) {
-  obs::TraceSpan span("queue.dequeue_batch", "client");
+  return DequeueItems(max_n, "queue.dequeue_batch", "block.queue_dequeue_batch");
+}
+
+Result<std::vector<std::string>> QueueClient::DequeueItems(
+    size_t max_n, const char* client_span, const char* block_span) {
+  obs::TraceSpan span(client_span, "client");
   span.SetAttr(tenant_attr());
   OpScope op(this);
   std::vector<std::string> out;
@@ -390,9 +218,14 @@ Result<std::vector<std::string>> QueueClient::DequeueBatch(size_t max_n) {
   // after the chunk is acknowledged.
   uint64_t token =
       state()->next_delivery_token.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (int attempt = 0; attempt < kMaxStaleRetries && out.size() < max_n;
-       ++attempt) {
-    BackoffRetry(attempt);
+  StaleRetry retry = StaleLoop();
+  while (out.size() < max_n) {
+    if (!retry.Next()) {
+      if (out.empty()) {
+        return StaleRetry::Exhausted("queue dequeue");
+      }
+      break;  // Keep what was popped; the rest stays queued.
+    }
     PartitionMap map = CachedMap();
     if (map.entries.empty()) {
       JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
@@ -411,7 +244,7 @@ Result<std::vector<std::string>> QueueClient::DequeueBatch(size_t max_n) {
     bool content_gone = false;
     {
       Block::OpLock lock(*block, "queue.block_wait");
-      JIFFY_TRACE_SPAN("block.queue_dequeue_batch", "block");
+      JIFFY_TRACE_SPAN(block_span, "block");
       auto* seg = ContentAs<QueueSegment>(block->content());
       if (seg == nullptr) {
         content_gone = true;
@@ -451,12 +284,11 @@ Result<std::vector<std::string>> QueueClient::DequeueBatch(size_t max_n) {
       token = state()->next_delivery_token.fetch_add(
                   1, std::memory_order_relaxed) +
               1;
-      PropagateBatchToReplicas<QueueSegment>(head, n, 8 * n,
-                                             [n](QueueSegment* s) {
-                                               for (size_t i = 0; i < n; ++i) {
-                                                 s->Dequeue();
-                                               }
-                                             });
+      PropagateToReplicas<QueueSegment>(head, n, 8 * n, [n](QueueSegment* s) {
+        for (size_t i = 0; i < n; ++i) {
+          s->Dequeue();
+        }
+      });
       MaybePersist(head);
       state()->queue_items.fetch_sub(static_cast<int64_t>(n),
                                      std::memory_order_relaxed);
@@ -466,6 +298,7 @@ Result<std::vector<std::string>> QueueClient::DequeueBatch(size_t max_n) {
         }
       }
       std::move(popped.begin(), popped.end(), std::back_inserter(out));
+      retry.Progress();
     }
     if (drained && !head_is_tail) {
       // Reclaim the drained head and keep filling from the next segment.
@@ -481,9 +314,9 @@ Result<std::vector<std::string>> QueueClient::DequeueBatch(size_t max_n) {
       continue;
     }
     if (!head_is_tail) {
-      // Unsealed yet interior per our map: the head block was reclaimed and
-      // reused as a fresh tail (see Dequeue) — refresh rather than treating
-      // the queue as exhausted.
+      // Unsealed yet interior per our map: a non-tail segment is sealed by
+      // construction, so the head block was reclaimed and reused as a fresh
+      // tail — the map is stale, not the queue exhausted.
       JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
       continue;
     }

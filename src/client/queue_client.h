@@ -32,10 +32,12 @@ class QueueClient : public DsClient {
   // Adds an item at the tail. kUnavailable when the queue is at its bound.
   // The view must stay valid for the duration of the call: the segment
   // copies it into its arena (the single data-plane copy), and replica
-  // propagation replays the same view — no defensive copies.
+  // propagation replays the same view — no defensive copies. Runs as
+  // EnqueueBatch of one item.
   Status Enqueue(std::string_view item);
 
-  // Removes the oldest item. kNotFound when the queue is empty.
+  // Removes the oldest item. kNotFound when the queue is empty. Runs as
+  // DequeueBatch(1).
   Result<std::string> Dequeue();
 
   // Blocking convenience: waits (real time) for an item using an "enqueue"
@@ -66,14 +68,23 @@ class QueueClient : public DsClient {
   static constexpr char kDequeueOp[] = "dequeue";
 
  private:
+  // The shared bodies of the public ops (a single op is a batch of one);
+  // the span names keep single ops distinguishable from batches in traces.
+  Status EnqueueItems(const std::vector<std::string_view>& items,
+                      const char* client_span, const char* block_span);
+  Result<std::vector<std::string>> DequeueItems(size_t max_n,
+                                                const char* client_span,
+                                                const char* block_span);
+
   // Allocates a new tail segment after `last_index`, conditional on
   // `tail_block` still being the queue's tail (stale growers no-op).
   Status GrowTail(BlockId tail_block, uint64_t last_index);
   // Frees the drained head segment.
   Status ShrinkHead(BlockId head_block);
-  // Hands a pressure hint for `block` to the background repartitioner.
-  // Returns false when there is none (caller falls back to the inline path).
-  bool FlagPressure(Block* block, BlockId id, Repartitioner::Pressure p);
+  // Asks the background repartitioner, when one runs, to seal the nearly
+  // full tail `block` and append a fresh one. Without it the tail grows
+  // inline once it overflows.
+  void FlagGrowth(Block* block, BlockId id);
 };
 
 }  // namespace jiffy

@@ -1,6 +1,8 @@
 #include "src/client/retry.h"
 
 #include <algorithm>
+#include <string>
+#include <thread>
 
 namespace jiffy {
 
@@ -60,6 +62,37 @@ DurationNs Retrier::NextDelay() {
     d = static_cast<DurationNs>(static_cast<double>(d) * factor);
   }
   return d;
+}
+
+StaleRetry::StaleRetry(DurationNs deadline)
+    : deadline_(deadline), start_(RealClock::Instance()->Now()) {}
+
+bool StaleRetry::Next() {
+  const int round = round_++;
+  if (round == 0) {
+    return true;
+  }
+  RealClock* clock = RealClock::Instance();
+  if (deadline_ > 0 && clock->Now() - start_ >= deadline_) {
+    return false;
+  }
+  if (round < 4) {
+    std::this_thread::yield();
+  } else {
+    clock->SleepFor(std::min<DurationNs>(
+        200 * kMicrosecond, static_cast<DurationNs>(round) * 10 * kMicrosecond));
+  }
+  return true;
+}
+
+void StaleRetry::Progress() {
+  round_ = 0;
+  start_ = RealClock::Instance()->Now();
+}
+
+Status StaleRetry::Exhausted(const char* what) {
+  return Unavailable(std::string(what) +
+                     ": partition map still stale at the op deadline");
 }
 
 void Retrier::RecordSuccess(std::atomic<int>* budget) {

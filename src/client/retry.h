@@ -103,6 +103,37 @@ class Retrier {
   uint32_t failures_ = 0;
 };
 
+// Paces and bounds one operation's stale-metadata loop (DESIGN.md §10):
+// route, find the map stale, refresh, re-send. A round after the first
+// usually waits for another thread's in-flight split, merge or growth, which
+// on a busy host may not be scheduled for a while — so each retry round
+// first yields, then sleeps briefly. The loop gives up once `deadline` of
+// real time has passed without progress (0 = never), however many rounds
+// that took.
+//
+//   for (StaleRetry retry(deadline); retry.Next();) { ... continue; ... }
+//   return retry.Exhausted("kv put");
+class StaleRetry {
+ public:
+  explicit StaleRetry(DurationNs deadline);
+
+  // True when another round may run; backs off before every round but the
+  // first (and the first after Progress()).
+  bool Next();
+
+  // The op advanced (filled a segment, read a chunk): the next round runs
+  // without backoff and the deadline counts from now.
+  void Progress();
+
+  // The status reported for work still pending once Next() returned false.
+  static Status Exhausted(const char* what);
+
+ private:
+  DurationNs deadline_;
+  TimeNs start_;
+  int round_ = 0;
+};
+
 }  // namespace jiffy
 
 #endif  // SRC_CLIENT_RETRY_H_

@@ -162,9 +162,8 @@ void Repartitioner::Process(const Hint& hint) {
                       : HandleKvUnderload(hint, ctl, state.get());
           break;
         case DsType::kQueue:
-          acted = hint.pressure == Pressure::kOverload
-                      ? HandleQueueOverload(hint, ctl, state.get())
-                      : HandleQueueUnderload(hint, ctl, state.get());
+          // Drained heads are reclaimed inline by the dequeuing client.
+          acted = HandleQueueOverload(hint, ctl, state.get());
           break;
         case DsType::kFile:
           acted = HandleFileOverload(hint, ctl, state.get());
@@ -690,41 +689,6 @@ bool Repartitioner::HandleQueueOverload(const Hint& hint, Controller* ctl,
   splits_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(m_splits_);
   state->splits.fetch_add(1);
-  state->repartition_latency.Record(clock_->Now() - start);
-  return true;
-}
-
-bool Repartitioner::HandleQueueUnderload(const Hint& hint, Controller* ctl,
-                                         DsState* state) {
-  JIFFY_TRACE_SPAN("repartition.queue_reclaim", "repartitioner");
-  const TimeNs start = clock_->Now();
-  ChargeControl();
-  auto map_r = ctl->GetPartitionMap(hint.job, hint.prefix);
-  if (!map_r.ok() || map_r->entries.size() <= 1) {
-    return false;  // Never reclaim the only (tail) segment.
-  }
-  const PartitionEntry head = map_r->entries.front();
-  if (head.block != hint.block) {
-    return false;  // Someone already reclaimed it.
-  }
-  Block* block = hooks_.resolve(head.block);
-  if (block == nullptr) {
-    return false;
-  }
-  {
-    Block::OpLock lock(*block);
-    auto* seg = ContentAs<QueueSegment>(block->content());
-    if (seg == nullptr || !seg->Drained()) {
-      return false;
-    }
-  }
-  const Status st = ctl->RemoveBlock(hint.job, hint.prefix, head.block);
-  if (!st.ok() && st.code() != StatusCode::kNotFound) {
-    return false;
-  }
-  merges_.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(m_merges_);
-  state->merges.fetch_add(1);
   state->repartition_latency.Record(clock_->Now() - start);
   return true;
 }

@@ -14,8 +14,9 @@
 //   KV underload  → chunked live merge into the slot-adjacent sibling with
 //                   the most headroom, then CommitMerge.
 //   Queue overload  → seal the tail segment and append a new tail block.
-//   Queue underload → reclaim a drained head segment's block.
 //   File overload   → cap the tail chunk and append a new tail block.
+//
+// A drained queue head is reclaimed inline by the client that drains it.
 //
 // The only data-path blocking a migration causes is the per-chunk lock hold
 // (bounded by config.repartition_chunk_bytes) and one final catch-up hold —
@@ -132,7 +133,6 @@ class Repartitioner {
   bool HandleKvOverload(const Hint& hint, Controller* ctl, DsState* state);
   bool HandleKvUnderload(const Hint& hint, Controller* ctl, DsState* state);
   bool HandleQueueOverload(const Hint& hint, Controller* ctl, DsState* state);
-  bool HandleQueueUnderload(const Hint& hint, Controller* ctl, DsState* state);
   bool HandleFileOverload(const Hint& hint, Controller* ctl, DsState* state);
 
   // Chunked KV migration shared by split ([from, end) → fresh unmapped

@@ -124,76 +124,80 @@ std::optional<size_t> CuckooHashMap::Put(std::string_view key,
 }
 
 void CuckooHashMap::Place(Slot s) {
-  for (;;) {
-    const std::string_view key = records_[s.rec].key();
-    // Try an empty slot in either candidate bucket.
-    for (const size_t idx : {Index1(key), Index2(key)}) {
-      for (Slot& slot : buckets_[idx].slots) {
-        if (slot.tag == 0) {
-          slot = s;
-          return;
-        }
-      }
-    }
-    // Both full: random-walk eviction. Each kick swaps two 8-byte slots;
-    // record bytes never move.
-    Slot cur = s;
-    bool placed = false;
-    for (int kick = 0; kick < kMaxKicks; ++kick) {
-      const std::string_view cur_key = records_[cur.rec].key();
-      kick_seed_ = Mix64(kick_seed_ + static_cast<uint64_t>(kick));
-      const size_t idx = (kick_seed_ & 1) ? Index2(cur_key) : Index1(cur_key);
-      const int victim_slot =
-          static_cast<int>((kick_seed_ >> 1) % kSlotsPerBucket);
-      Slot& victim = buckets_[idx].slots[victim_slot];
-      if (victim.tag == 0) {
-        victim = cur;
-        placed = true;
-        break;
-      }
-      std::swap(victim, cur);
-      // Move the displaced slot toward its alternate bucket next round.
-      const std::string_view kicked_key = records_[cur.rec].key();
-      for (const size_t alt : {Index1(kicked_key), Index2(kicked_key)}) {
-        if (alt == idx) {
-          continue;
-        }
-        for (Slot& slot : buckets_[alt].slots) {
-          if (slot.tag == 0) {
-            slot = cur;
-            placed = true;
-            break;
-          }
-        }
-        if (placed) {
-          break;
-        }
-      }
-      if (placed) {
-        break;
-      }
-    }
-    if (placed) {
-      return;
-    }
-    s = cur;
-    Rehash();
+  if (!TryPlace(&s)) {
+    Rehash(s);
   }
 }
 
-void CuckooHashMap::Rehash() {
-  std::vector<Bucket> old = std::move(buckets_);
-  buckets_.clear();
-  buckets_.resize(old.size() * 2);
-  mask_ = buckets_.size() - 1;
-  const size_t expected = size_;
-  size_t moved = 0;
-  for (Bucket& b : old) {
-    for (Slot& s : b.slots) {
-      if (s.tag != 0) {
-        Place(s);
-        moved++;
+bool CuckooHashMap::TryPlace(Slot* s) {
+  const std::string_view key = records_[s->rec].key();
+  // Try an empty slot in either candidate bucket.
+  for (const size_t idx : {Index1(key), Index2(key)}) {
+    for (Slot& slot : buckets_[idx].slots) {
+      if (slot.tag == 0) {
+        slot = *s;
+        return true;
       }
+    }
+  }
+  // Both full: random-walk eviction. Each kick swaps two 8-byte slots;
+  // record bytes never move.
+  Slot cur = *s;
+  for (int kick = 0; kick < kMaxKicks; ++kick) {
+    const std::string_view cur_key = records_[cur.rec].key();
+    kick_seed_ = Mix64(kick_seed_ + static_cast<uint64_t>(kick));
+    const size_t idx = (kick_seed_ & 1) ? Index2(cur_key) : Index1(cur_key);
+    const int victim_slot =
+        static_cast<int>((kick_seed_ >> 1) % kSlotsPerBucket);
+    Slot& victim = buckets_[idx].slots[victim_slot];
+    if (victim.tag == 0) {
+      victim = cur;
+      return true;
+    }
+    std::swap(victim, cur);
+    // Move the displaced slot toward its alternate bucket next round.
+    const std::string_view kicked_key = records_[cur.rec].key();
+    for (const size_t alt : {Index1(kicked_key), Index2(kicked_key)}) {
+      if (alt == idx) {
+        continue;
+      }
+      for (Slot& slot : buckets_[alt].slots) {
+        if (slot.tag == 0) {
+          slot = cur;
+          return true;
+        }
+      }
+    }
+  }
+  *s = cur;
+  return false;
+}
+
+void CuckooHashMap::Rehash(Slot homeless) {
+  // Every resident plus the slot that found no home. Re-placing them can
+  // itself run out of kicks; then the table doubles again and the whole
+  // list is placed afresh — never a rehash inside a rehash.
+  std::vector<Slot> all;
+  all.reserve(size_ + 1);
+  for (const Bucket& b : buckets_) {
+    for (const Slot& s : b.slots) {
+      if (s.tag != 0) {
+        all.push_back(s);
+      }
+    }
+  }
+  all.push_back(homeless);
+  const size_t expected = size_ + 1;  // Place() runs before size_++.
+  size_t moved = 0;
+  while (moved < all.size()) {
+    buckets_.assign(buckets_.size() * 2, Bucket{});
+    mask_ = buckets_.size() - 1;
+    moved = 0;
+    for (Slot s : all) {
+      if (!TryPlace(&s)) {
+        break;
+      }
+      moved++;
     }
   }
   JIFFY_CHECK(moved == expected) << "cuckoo rehash lost entries";

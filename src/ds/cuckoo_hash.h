@@ -137,7 +137,12 @@ class CuckooHashMap {
   // slot movement — record bytes are untouched.
   void Place(Slot s);
 
-  void Rehash();
+  // One placement attempt in the current table. On failure (out of kicks)
+  // `*s` holds the slot left without a home, which may be a kicked resident.
+  bool TryPlace(Slot* s);
+
+  // Doubles the table until every resident and `homeless` fit.
+  void Rehash(Slot homeless);
 
   std::shared_ptr<SlabArena> arena_;
   std::vector<Bucket> buckets_;

@@ -63,17 +63,19 @@ class DsRegistry {
   std::shared_ptr<DsState> Find(const std::string& job,
                                 const std::string& prefix) const;
 
-  void Remove(const std::string& job, const std::string& prefix);
+  // Drops every state of `job` once the job is deregistered. Handles still
+  // open keep theirs alive through their shared_ptr.
+  void RemoveJob(const std::string& job);
 
   size_t size() const;
 
  private:
-  static std::string Key(const std::string& job, const std::string& prefix) {
-    return job + "/" + prefix;
-  }
-
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<DsState>> states_;
+  // job -> prefix -> state.
+  std::unordered_map<
+      std::string,
+      std::unordered_map<std::string, std::shared_ptr<DsState>>>
+      states_;
 };
 
 }  // namespace jiffy

@@ -43,7 +43,7 @@ WireResponse WireBlockService::HandleKv(const DecodedRequest& req,
     }
   }
   // Pressure is reported outside the block hold, like the in-process
-  // clients' SignalOverload (Flag is a CAS, no lock interaction).
+  // clients' SignalPressure (Flag is a CAS, no lock interaction).
   if (usage_after >= 0.0 && pressure_) {
     pressure_(block, usage_after);
   }

@@ -10,7 +10,6 @@ namespace jiffy {
 namespace {
 
 constexpr size_t kNoRoute = static_cast<size_t>(-1);
-constexpr int kMaxStaleRounds = 4;
 
 Status CodeStatus(StatusCode code, const char* what) {
   if (code == StatusCode::kOk) {
@@ -212,7 +211,10 @@ void WireKvClient::Run(
     pending[i] = i;
   }
 
-  for (int round = 0; round < kMaxStaleRounds && !pending.empty(); ++round) {
+  // Stale rounds are bounded by the op deadline, like the in-process
+  // client's (DESIGN.md §10), not by a round count a slow split can use up.
+  for (StaleRetry retry(options_.retry.op_deadline);
+       !pending.empty() && retry.Next();) {
     // --- Route ------------------------------------------------------------
     std::vector<Group> groups;
     std::vector<size_t> stale;
@@ -396,8 +398,11 @@ void WireKvClient::Run(
       map_ = std::move(*refreshed);
     }
   }
+  const Status left = options_.map_refresher
+                          ? StaleRetry::Exhausted("wire kv op")
+                          : StaleMetadata("wire route stale; no map refresher");
   for (size_t i : pending) {
-    (*statuses)[i] = StaleMetadata("wire route stale after refresh");
+    (*statuses)[i] = left;
     if (payload != nullptr) {
       (*payload)[i] = (*statuses)[i];
     }

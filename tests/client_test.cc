@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "src/client/jiffy_client.h"
 #include "src/common/clock.h"
+#include "src/ds/kv_content.h"
 
 namespace jiffy {
 namespace {
@@ -52,6 +55,26 @@ TEST_F(ClientTest, CreateHierarchyAndLeaseApi) {
   EXPECT_EQ(*lease, 60 * kSecond);
   EXPECT_TRUE(client_->RenewLease("/job/map/reduce").ok());
   EXPECT_FALSE(client_->RenewLease("/job/reduce/map").ok());  // Not an edge.
+}
+
+TEST_F(ClientTest, DeregisterJobFreesItsDataStructureState) {
+  const size_t before = cluster_->registry()->size();
+  ASSERT_TRUE(client_->RegisterJob("gone").ok());
+  // The handles stay open across the deregistration; each keeps its state.
+  std::vector<std::unique_ptr<KvClient>> open;
+  for (int i = 0; i < 4; ++i) {
+    const std::string addr = "/gone/kv" + std::to_string(i);
+    ASSERT_TRUE(client_->CreateAddrPrefix(addr, {}).ok());
+    auto kv = client_->OpenKv(addr);
+    ASSERT_TRUE(kv.ok());
+    ASSERT_TRUE((*kv)->Put("k", "v").ok());
+    open.push_back(std::move(*kv));
+  }
+  ASSERT_TRUE(client_->CreateAddrPrefix("/gone/q", {}).ok());
+  ASSERT_TRUE(client_->OpenQueue("/gone/q").ok());
+  EXPECT_EQ(cluster_->registry()->size(), before + 5);
+  ASSERT_TRUE(client_->DeregisterJob("gone").ok());
+  EXPECT_EQ(cluster_->registry()->size(), before);
 }
 
 TEST_F(ClientTest, OpenRejectsTypeMismatch) {
@@ -369,6 +392,65 @@ TEST_F(ClientTest, KvStaleClientRoutesAfterSplit) {
     auto v = (*reader)->Get("key" + std::to_string(i));
     ASSERT_TRUE(v.ok()) << i << ": " << v.status();
   }
+}
+
+// Shrinks the KV at `kv`'s single entry so that its last slot has no owner,
+// and returns a key hashing to that slot. The client's map then sees the gap.
+std::string OpenSlotGap(JiffyCluster* cluster, KvClient* kv,
+                        PartitionEntry* entry) {
+  *entry = kv->CachedMap().entries.at(0);
+  const uint32_t last = static_cast<uint32_t>(entry->hi) - 1;
+  std::string key;
+  for (int i = 0; KvSlotOf(key, cluster->config().kv_hash_slots) != last;
+       ++i) {
+    key = "gap" + std::to_string(i);
+  }
+  EXPECT_TRUE(cluster->ControllerFor(kv->job())
+                  ->UpdateEntryRange(kv->job(), kv->prefix(), entry->block,
+                                     entry->lo, last)
+                  .ok());
+  EXPECT_TRUE(kv->RefreshMap().ok());
+  return key;
+}
+
+TEST_F(ClientTest, KvPutRidesOutAnUnownedSlotUntilTheMapHeals) {
+  // The stale-map loop is bounded by the op deadline, not by an attempt
+  // count: a put to a slot no entry owns for 50 ms (longer than 64 backoff
+  // rounds last) lands once the range is restored.
+  ASSERT_TRUE(client_->CreateAddrPrefix("/job/gap", {}).ok());
+  auto kv = client_->OpenKv("/job/gap");
+  ASSERT_TRUE(kv.ok());
+  ASSERT_EQ((*kv)->CachedMap().entries.size(), 1u);
+  PartitionEntry entry;
+  const std::string key = OpenSlotGap(cluster_.get(), kv->get(), &entry);
+  std::thread healer([&] {
+    RealClock::Instance()->SleepFor(50 * kMillisecond);
+    EXPECT_TRUE(cluster_->ControllerFor("job")
+                    ->UpdateEntryRange((*kv)->job(), (*kv)->prefix(),
+                                       entry.block, entry.lo, entry.hi)
+                    .ok());
+  });
+  const Status put = (*kv)->Put(key, "v");
+  healer.join();
+  ASSERT_TRUE(put.ok()) << put.ToString();
+  EXPECT_EQ(*(*kv)->Get(key), "v");
+}
+
+TEST_F(ClientTest, KvPutToAnUnownedSlotFailsAtTheOpDeadline) {
+  ASSERT_TRUE(client_->CreateAddrPrefix("/job/gap", {}).ok());
+  auto kv = client_->OpenKv("/job/gap");
+  ASSERT_TRUE(kv.ok());
+  RetryPolicy policy = (*kv)->retry_policy();
+  policy.op_deadline = 100 * kMillisecond;
+  (*kv)->set_retry_policy(policy);
+  PartitionEntry entry;
+  const std::string key = OpenSlotGap(cluster_.get(), kv->get(), &entry);
+  const TimeNs start = RealClock::Instance()->Now();
+  const Status put = (*kv)->Put(key, "v");
+  const DurationNs took = RealClock::Instance()->Now() - start;
+  EXPECT_EQ(put.code(), StatusCode::kUnavailable) << put.ToString();
+  EXPECT_GE(took, policy.op_deadline);
+  EXPECT_LT(took, 10 * policy.op_deadline);
 }
 
 TEST_F(ClientTest, ConcurrentKvWritersAreLinearizablePerKey) {

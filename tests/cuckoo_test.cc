@@ -6,7 +6,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/random.h"
 #include "src/ds/cuckoo_hash.h"
 
@@ -133,6 +135,33 @@ TEST(CuckooTest, ViewsStableAcrossRehashAndKicks) {
   }
   EXPECT_EQ(v, "pinned-value");
   EXPECT_EQ(v.data(), data);
+}
+
+TEST(CuckooTest, RehashRestartsWhenAReplacementRunsOutOfKicks) {
+  // Nine keys whose two candidate buckets are {1, 2} in tables of 4 and 8
+  // buckets (and {0, 1} in a table of 2). The ninth insert overflows the
+  // 2-bucket table; re-placing all nine fails again at 4 and at 8 buckets,
+  // so the rehash must grow and restart from the full slot list until they
+  // spread out, without losing an entry.
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 9; ++i) {
+    const std::string k = "collide" + std::to_string(i);
+    const uint64_t b1 = HashKey1(k) & 7;
+    const uint64_t b2 = HashKey2(k) & 7;
+    if ((b1 == 1 && b2 == 2) || (b1 == 2 && b2 == 1)) {
+      keys.push_back(k);
+    }
+  }
+  CuckooHashMap map(nullptr, 2);
+  for (const std::string& k : keys) {
+    map.Put(k, "v-" + k);
+  }
+  EXPECT_EQ(map.size(), keys.size());
+  EXPECT_GE(map.bucket_count(), 16u);
+  for (const std::string& k : keys) {
+    ASSERT_TRUE(map.Get(k).has_value()) << k;
+    EXPECT_EQ(*map.Get(k), "v-" + k);
+  }
 }
 
 TEST(CuckooTest, OverwriteInPlaceWhenUnpinned) {

@@ -98,8 +98,11 @@ TEST(DsRegistryTest, FindAndRemove) {
   EXPECT_EQ(reg.Find("j", "t"), nullptr);
   auto state = reg.GetOrCreate("j", "t");
   EXPECT_EQ(reg.Find("j", "t").get(), state.get());
-  reg.Remove("j", "t");
+  auto other = reg.GetOrCreate("k", "t");
+  reg.RemoveJob("j");
   EXPECT_EQ(reg.Find("j", "t"), nullptr);
+  EXPECT_EQ(reg.Find("k", "t").get(), other.get());  // Other jobs stay.
+  EXPECT_EQ(reg.size(), 1u);
   // Existing shared_ptr holders keep the state alive.
   state->queue_items.store(7);
   EXPECT_EQ(state->queue_items.load(), 7);

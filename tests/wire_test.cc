@@ -92,7 +92,26 @@ TEST(WireServer, DeepPipelineSurvivesServerReordering) {
   sopts.threads = 2;
   sopts.reorder_window = 16;  // Server shuffles up to 16 held responses.
   sopts.reorder_seed = 7;
-  TcpServer server(EchoHandler, sopts);
+  // The handler holds every request until the client has submitted
+  // kDepth of them, so the pipeline runs at least kDepth deep however fast
+  // the server's cores drain it.
+  constexpr int kDepth = 32;
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  auto open_gate = [&] {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+    gate_cv.notify_all();
+  };
+  TcpServer server(
+      TcpServer::Handler([&](const DecodedRequest& req) {
+        std::unique_lock<std::mutex> lock(gate_mu);
+        gate_cv.wait(lock, [&] { return gate_open; });
+        lock.unlock();
+        return EchoHandler(req);
+      }),
+      sopts);
   ASSERT_TRUE(server.Start().ok());
 
   TcpConnection::Options copts;
@@ -120,6 +139,9 @@ TEST(WireServer, DeepPipelineSurvivesServerReordering) {
                       ++done;
                       cv.notify_all();
                     });
+    if (i + 1 == kDepth) {
+      open_gate();
+    }
   }
   {
     std::unique_lock<std::mutex> lock(mu);
